@@ -80,24 +80,37 @@ void BM_SearchTopK(benchmark::State& state) {
 }
 BENCHMARK(BM_SearchTopK);
 
+/// Clustering input: the top-N results of one background term of a
+/// clustered datagen corpus, which retrieves ~360 results, so N = 300 is
+/// the deep-workload size (`topk=0`) and N = 10/30 the interactive one.
 void BM_KMeansCluster(benchmark::State& state) {
-  const auto& bundle = WikiBundle();
-  auto results =
-      bundle.index->Search(bundle.corpus->analyzer().AnalyzeReadOnly("java"),
-                           static_cast<size_t>(state.range(0)));
+  static const auto* corpus = [] {
+    qec::datagen::ClusteredOptions options;
+    options.num_docs = 25000;
+    options.num_clusters = 16;
+    options.shared_vocab = 500;
+    return new qec::doc::Corpus(
+        qec::datagen::ClusteredGenerator(options).Generate());
+  }();
+  static const auto* index = new qec::index::InvertedIndex(*corpus);
+  auto results = index->Search(corpus->analyzer().AnalyzeReadOnly("w17"),
+                               static_cast<size_t>(state.range(0)));
   std::vector<qec::cluster::SparseVector> vectors;
   for (const auto& r : results) {
     vectors.push_back(
-        qec::cluster::SparseVector::FromDocument(bundle.corpus->Get(r.doc)));
+        qec::cluster::SparseVector::FromDocument(corpus->Get(r.doc)));
   }
+  // The served configuration: k is an upper bound, chosen by silhouette.
   qec::cluster::KMeansOptions options;
   options.k = 5;
+  options.auto_k = true;
   for (auto _ : state) {
     auto clustering = qec::cluster::KMeans(options).Cluster(vectors);
     benchmark::DoNotOptimize(clustering);
   }
+  state.counters["points"] = static_cast<double>(vectors.size());
 }
-BENCHMARK(BM_KMeansCluster)->Arg(10)->Arg(30);
+BENCHMARK(BM_KMeansCluster)->Arg(10)->Arg(30)->Arg(300);
 
 void BM_UniverseBuild(benchmark::State& state) {
   const auto& bundle = WikiBundle();

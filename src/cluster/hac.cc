@@ -19,15 +19,18 @@ namespace {
 ///   d(A∪B, C) = (|A| d(A,C) + |B| d(B,C)) / (|A| + |B|).
 class Agglomerator {
  public:
-  explicit Agglomerator(const std::vector<SparseVector>& points)
+  explicit Agglomerator(const PointSet& points)
       : n_(points.size()),
         active_(n_, true),
         active_count_(n_),
         size_(n_, 1),
         dist_(n_ * n_, 0.0) {
+    std::vector<double> dots(n_);
     for (size_t i = 0; i < n_; ++i) {
+      std::fill(dots.begin(), dots.end(), 0.0);
+      points.AddDots(i, dots.data());
       for (size_t j = i + 1; j < n_; ++j) {
-        double d = 1.0 - points[i].Cosine(points[j]);
+        double d = points.Distance(i, j, dots[j]);
         dist_[i * n_ + j] = d;
         dist_[j * n_ + i] = d;
       }
@@ -102,13 +105,8 @@ class Agglomerator {
 
 }  // namespace
 
-Clustering Hac::CutAt(const std::vector<SparseVector>& points,
-                      size_t k) const {
-  Clustering result;
-  const size_t n = points.size();
-  if (n == 0) {
-    return result;
-  }
+Clustering Hac::CutAt(const PointSet& points, size_t k) const {
+  if (points.size() == 0) return Clustering();
   Agglomerator agg(points);
   while (agg.num_active() > std::max<size_t>(1, k)) {
     if (!agg.MergeClosest()) break;
@@ -117,59 +115,69 @@ Clustering Hac::CutAt(const std::vector<SparseVector>& points,
 }
 
 Clustering Hac::Cluster(const std::vector<SparseVector>& points) const {
+  return Cluster(PointSet(points));
+}
+
+Clustering Hac::Cluster(const PointSet& points, double* silhouette) const {
   QEC_TRACE_SPAN("cluster/hac");
   QEC_COUNTER_INC("cluster/hac_runs");
   const size_t n = points.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k,
                                 std::max<size_t>(n, 1));
   if (!options_.auto_k || n <= 2 || k_max <= 1) {
-    return CutAt(points, k_max);
+    Clustering only = CutAt(points, k_max);
+    if (silhouette != nullptr) {
+      *silhouette = MeanSilhouettes(points, {&only, 1})[0];
+    }
+    return only;
   }
-  // One agglomeration pass, evaluating the silhouette at every cut ≤ k_max.
+  // One agglomeration pass collects every cut from k_max clusters down to
+  // two; one silhouette pass then scores them all.
   Agglomerator agg(points);
   while (agg.num_active() > k_max) {
     if (!agg.MergeClosest()) break;
   }
-  Clustering best = agg.Snapshot();
-  double best_score = best.num_clusters >= 2 ? MeanSilhouette(points, best)
-                                             : 0.0;
+  std::vector<Clustering> cuts = {agg.Snapshot()};
   while (agg.num_active() > 2) {
     if (!agg.MergeClosest()) break;
-    Clustering cut = agg.Snapshot();
-    double score = MeanSilhouette(points, cut);
-    if (score > best_score + 1e-12) {
-      best_score = score;
-      best = std::move(cut);
-    }
+    cuts.push_back(agg.Snapshot());
+  }
+  const std::vector<double> scores = MeanSilhouettes(points, cuts);
+  size_t best = 0;
+  for (size_t c = 1; c < cuts.size(); ++c) {
+    if (scores[c] > scores[best] + 1e-12) best = c;
   }
   // The single-cluster cut is the neutral baseline.
-  if (best_score <= 0.0) {
+  if (scores[best] <= 0.0) {
+    if (silhouette != nullptr) *silhouette = 0.0;
     Clustering one;
     one.assignment.assign(n, 0);
     one.num_clusters = 1;
     return one;
   }
-  return best;
+  if (silhouette != nullptr) *silhouette = scores[best];
+  return std::move(cuts[best]);
 }
 
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen) {
+  // Both methods share one point set, and each reports the silhouette of
+  // its own pick, so the two finals need no further silhouette pass.
+  const PointSet point_set(points);
   KMeansOptions kopts;
   kopts.k = k_max;
   kopts.seed = seed;
   kopts.auto_k = true;
-  Clustering kmeans = KMeans(kopts).Cluster(points);
+  double kmeans_score = 0.0;
+  Clustering kmeans = KMeans(kopts).Cluster(point_set, &kmeans_score);
 
   HacOptions hopts;
   hopts.k = k_max;
   hopts.auto_k = true;
-  Clustering hac = Hac(hopts).Cluster(points);
+  double hac_score = 0.0;
+  Clustering hac = Hac(hopts).Cluster(point_set, &hac_score);
 
-  const double kmeans_score =
-      kmeans.num_clusters >= 2 ? MeanSilhouette(points, kmeans) : 0.0;
-  const double hac_score =
-      hac.num_clusters >= 2 ? MeanSilhouette(points, hac) : 0.0;
   if (hac_score > kmeans_score) {
     if (chosen != nullptr) *chosen = ClusteringMethod::kHac;
     return hac;

@@ -4,6 +4,7 @@
 #include <cstddef>
 
 #include "cluster/kmeans.h"
+#include "cluster/point_set.h"
 #include "cluster/sparse_vector.h"
 
 namespace qec::cluster {
@@ -29,10 +30,16 @@ class Hac {
   /// remain (or, with auto_k, cutting at the silhouette-best level ≤ k).
   Clustering Cluster(const std::vector<SparseVector>& points) const;
 
+  /// Same, over a point set shared with other methods. When `silhouette`
+  /// is non-null it receives the MeanSilhouette of the returned
+  /// clustering.
+  Clustering Cluster(const PointSet& points,
+                     double* silhouette = nullptr) const;
+
   const HacOptions& options() const { return options_; }
 
  private:
-  Clustering CutAt(const std::vector<SparseVector>& points, size_t k) const;
+  Clustering CutAt(const PointSet& points, size_t k) const;
 
   HacOptions options_;
 };

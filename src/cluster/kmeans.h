@@ -2,8 +2,10 @@
 #define QEC_CLUSTER_KMEANS_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "cluster/point_set.h"
 #include "cluster/sparse_vector.h"
 #include "common/types.h"
 
@@ -40,6 +42,7 @@ struct Clustering {
 /// Spherical k-means over cosine distance (1 - cosine similarity), with
 /// k-means++ seeding. This is the result-clustering substrate the paper
 /// prescribes ("we adopt k-means for result clustering", Appendix C).
+/// Centroids are dense arrays over the PointSet's local term ids.
 class KMeans {
  public:
   explicit KMeans(KMeansOptions options = {});
@@ -49,20 +52,35 @@ class KMeans {
   /// away so cluster labels are dense.
   Clustering Cluster(const std::vector<SparseVector>& points) const;
 
+  /// Same, over a point set shared with other methods. When `silhouette`
+  /// is non-null it receives the MeanSilhouette of the returned
+  /// clustering (already known under auto_k, so free there).
+  Clustering Cluster(const PointSet& points,
+                     double* silhouette = nullptr) const;
+
   const KMeansOptions& options() const { return options_; }
 
  private:
-  Clustering ClusterWithK(const std::vector<SparseVector>& points,
-                          size_t k) const;
+  Clustering ClusterWithK(const PointSet& points, size_t k) const;
 
   KMeansOptions options_;
 };
 
 /// Mean silhouette coefficient of `clustering` over `points` under cosine
 /// distance, in [-1, 1]. Points in singleton clusters score 0; a
-/// single-cluster clustering scores 0 (neutral).
+/// single-cluster clustering scores 0 (neutral). `clustering` must label
+/// every point.
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering);
+
+/// MeanSilhouette of every clustering in `clusterings`, from one pass over
+/// the point rows: each row's n-1 distances are computed once and added
+/// into every clustering's per-cluster sums, in the same order as a
+/// separate MeanSilhouette call would add them, so each score is
+/// bit-identical to it. Extra memory is O(n * clusterings), not an n x n
+/// matrix. Counts the distances in `cluster/silhouette_distances`.
+std::vector<double> MeanSilhouettes(const PointSet& points,
+                                    std::span<const Clustering> clusterings);
 
 }  // namespace qec::cluster
 

@@ -1,0 +1,85 @@
+#ifndef QEC_CLUSTER_POINT_SET_H_
+#define QEC_CLUSTER_POINT_SET_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "cluster/sparse_vector.h"
+
+namespace qec::cluster {
+
+/// The points of one clustering request, built once from their
+/// SparseVectors and shared by k-means, HAC and the silhouette.
+///
+/// Terms are renumbered to dense result-local ids in increasing TermId
+/// order, so every row keeps its sorted order, and each row's norm is
+/// computed once. Two layouts serve the two kinds of distance:
+///   - Rows (point -> entries). A vector over the local ids fits a plain
+///     `double` array of dim() entries; k-means centroids live in such
+///     arrays, and a point's distance to one is a gather over the point's
+///     own entries (DistanceTo).
+///   - Columns (local id -> points holding it). A point's dot products
+///     with every other point accumulate term at a time over the columns
+///     of its own terms (AddDots), touching only the pairs that share a
+///     term.
+///
+/// Exactness: both compute the same products, summed in the same term
+/// order, as the merge-walk dot product of two sorted sparse vectors, and
+/// divide by the same product of norms, so distances are bit-identical to
+/// 1 - cosine over the SparseVectors. The gather also visits the row's
+/// terms the dense side lacks, but each adds an exact ±0.0 to a sum that
+/// is never -0.0 (weights are finite and never -0.0, as SparseVector
+/// guarantees).
+class PointSet {
+ public:
+  explicit PointSet(const std::vector<SparseVector>& points);
+
+  size_t size() const { return norms_.size(); }
+  /// Distinct terms over all points: the length of a dense vector.
+  size_t dim() const { return column_offsets_.size() - 1; }
+  /// L2 norm of point `i` (SparseVector::Norm).
+  double norm(size_t i) const { return norms_[i]; }
+
+  /// dense[id] += weight for every entry of point `i`. On an all-zero
+  /// array this loads the point exactly.
+  void AddTo(size_t i, double* dense) const;
+
+  /// Cosine distance 1 - cos(point i, v) to a dense vector `v` whose L2
+  /// norm is `v_norm`; 1 when either vector is zero.
+  double DistanceTo(size_t i, const double* v, double v_norm) const {
+    if (norms_[i] == 0.0 || v_norm == 0.0) return 1.0;
+    double dot = 0.0;
+    for (uint32_t e = row_offsets_[i]; e < row_offsets_[i + 1]; ++e) {
+      dot += weights_[e] * v[ids_[e]];
+    }
+    return 1.0 - dot / (norms_[i] * v_norm);
+  }
+
+  /// dots[j] += dot(point i, point j) for every point j (i included) that
+  /// shares a term with point `i`. On a zeroed array of size() entries it
+  /// leaves every dot product of point `i`.
+  void AddDots(size_t i, double* dots) const;
+
+  /// Cosine distance between points `i` and `j` given their dot product.
+  double Distance(size_t i, size_t j, double dot) const {
+    if (norms_[i] == 0.0 || norms_[j] == 0.0) return 1.0;
+    return 1.0 - dot / (norms_[i] * norms_[j]);
+  }
+
+ private:
+  std::vector<double> norms_;
+  // Rows: point i owns entries [row_offsets_[i], row_offsets_[i + 1]).
+  std::vector<uint32_t> row_offsets_;
+  std::vector<uint32_t> ids_;
+  std::vector<double> weights_;
+  // Columns: local id t is held by the points in
+  // [column_offsets_[t], column_offsets_[t + 1]), in point order.
+  std::vector<uint32_t> column_offsets_;
+  std::vector<uint32_t> column_points_;
+  std::vector<double> column_weights_;
+};
+
+}  // namespace qec::cluster
+
+#endif  // QEC_CLUSTER_POINT_SET_H_

@@ -14,13 +14,13 @@ namespace qec::cluster {
 /// vector-space representation of query results for clustering: per the
 /// paper (Appendix C) each result is a vector whose components are the
 /// result's features weighted by term frequency, compared by cosine
-/// similarity.
+/// similarity. The clustering arithmetic itself runs on a PointSet built
+/// from these vectors (cluster/point_set.h).
 class SparseVector {
  public:
   /// Sparse TF entries, sorted by term. Small-size-optimized: short
-  /// documents and centroid deltas (the common case in per-request
-  /// clustering) keep their entries inline instead of heap-allocating a
-  /// vector per result.
+  /// documents (the common case in per-request clustering) keep their
+  /// entries inline instead of heap-allocating a vector per result.
   using EntryList = common::SmallVector<std::pair<TermId, double>, 8>;
 
   SparseVector() = default;
@@ -39,24 +39,8 @@ class SparseVector {
   /// Weight of `term` (0 when absent).
   double Get(TermId term) const;
 
-  /// Dot product with another sparse vector.
-  double Dot(const SparseVector& other) const;
-
   /// Euclidean (L2) norm.
   double Norm() const;
-
-  /// Cosine similarity in [0, 1] for non-negative vectors; 0 when either
-  /// vector is zero.
-  double Cosine(const SparseVector& other) const;
-
-  /// this += scale * other.
-  void AddScaled(const SparseVector& other, double scale);
-
-  /// Multiplies every weight by `scale`.
-  void Scale(double scale);
-
-  /// Scales to unit norm (no-op for the zero vector).
-  void Normalize();
 
  private:
   EntryList entries_;  // sorted by TermId

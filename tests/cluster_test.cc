@@ -1,4 +1,6 @@
-// Unit tests for qec_cluster: sparse vectors and k-means.
+// Unit tests for qec_cluster: sparse vectors, k-means and the silhouette.
+// The dot/norm/cosine/centroid arithmetic is pinned bit for bit against a
+// reference in property_test.cc (ClusteringExactnessProperty).
 
 #include <gtest/gtest.h>
 
@@ -7,6 +9,7 @@
 #include "cluster/kmeans.h"
 #include "cluster/sparse_vector.h"
 #include "doc/corpus.h"
+#include "obs/metrics.h"
 
 namespace qec::cluster {
 namespace {
@@ -23,48 +26,6 @@ TEST(SparseVectorTest, MergesDuplicatesAndDropsZeros) {
   EXPECT_DOUBLE_EQ(v.Get(1), 2.0);
   EXPECT_DOUBLE_EQ(v.Get(3), 3.0);
   EXPECT_DOUBLE_EQ(v.Get(5), 0.0);
-}
-
-TEST(SparseVectorTest, DotProduct) {
-  SparseVector a = V({{1, 2.0}, {3, 1.0}});
-  SparseVector b = V({{1, 4.0}, {2, 5.0}, {3, 3.0}});
-  EXPECT_DOUBLE_EQ(a.Dot(b), 2.0 * 4.0 + 1.0 * 3.0);
-  EXPECT_DOUBLE_EQ(a.Dot(SparseVector()), 0.0);
-}
-
-TEST(SparseVectorTest, NormAndNormalize) {
-  SparseVector v = V({{0, 3.0}, {1, 4.0}});
-  EXPECT_DOUBLE_EQ(v.Norm(), 5.0);
-  v.Normalize();
-  EXPECT_NEAR(v.Norm(), 1.0, 1e-12);
-  SparseVector zero;
-  zero.Normalize();  // must not crash
-  EXPECT_TRUE(zero.IsZero());
-}
-
-TEST(SparseVectorTest, CosineBounds) {
-  SparseVector a = V({{1, 1.0}});
-  SparseVector b = V({{1, 7.0}});
-  SparseVector c = V({{2, 1.0}});
-  EXPECT_NEAR(a.Cosine(b), 1.0, 1e-12);
-  EXPECT_DOUBLE_EQ(a.Cosine(c), 0.0);
-  EXPECT_DOUBLE_EQ(a.Cosine(SparseVector()), 0.0);
-}
-
-TEST(SparseVectorTest, AddScaledMergesDisjointAndOverlap) {
-  SparseVector a = V({{1, 1.0}, {2, 1.0}});
-  SparseVector b = V({{2, 2.0}, {3, 4.0}});
-  a.AddScaled(b, 0.5);
-  EXPECT_DOUBLE_EQ(a.Get(1), 1.0);
-  EXPECT_DOUBLE_EQ(a.Get(2), 2.0);
-  EXPECT_DOUBLE_EQ(a.Get(3), 2.0);
-}
-
-TEST(SparseVectorTest, AddScaledCancellationDropsEntry) {
-  SparseVector a = V({{1, 1.0}});
-  SparseVector b = V({{1, 1.0}});
-  a.AddScaled(b, -1.0);
-  EXPECT_TRUE(a.IsZero());
 }
 
 TEST(SparseVectorTest, FromDocumentUsesTermFrequencies) {
@@ -188,6 +149,48 @@ TEST(KMeansTest, MembersPartitionInput) {
   size_t total = 0;
   for (const auto& m : members) total += m.size();
   EXPECT_EQ(total, points.size());
+}
+
+// ------------------------------------------------------------- Silhouette
+
+#ifndef QEC_DISABLE_TRACING
+TEST(SilhouetteTest, AutoKComputesEachDistanceOnce) {
+  // One silhouette pass scores every candidate k: n(n-1) distances per
+  // auto-k run, whatever the bound on k.
+  obs::Counter* distances = obs::MetricsRegistry::Global().GetCounter(
+      "cluster/silhouette_distances");
+  const auto points = ThreeObviousGroups();
+  const uint64_t n = points.size();
+  for (size_t k_max : {2, 3, 5, 8}) {
+    KMeansOptions options;
+    options.k = k_max;
+    options.auto_k = true;
+    const uint64_t before = distances->value();
+    Clustering c = KMeans(options).Cluster(points);
+    EXPECT_EQ(distances->value() - before, n * (n - 1)) << k_max;
+    EXPECT_GE(c.num_clusters, 2u) << k_max;
+  }
+}
+#endif  // QEC_DISABLE_TRACING
+
+TEST(SilhouetteTest, SeparatedGroupsScoreHigh) {
+  KMeansOptions options;
+  options.k = 3;
+  const auto points = ThreeObviousGroups();
+  Clustering c = KMeans(options).Cluster(points);
+  EXPECT_GT(MeanSilhouette(points, c), 0.9);
+  Clustering one;
+  one.assignment.assign(points.size(), 0);
+  one.num_clusters = 1;
+  EXPECT_EQ(MeanSilhouette(points, one), 0.0);
+}
+
+TEST(SilhouetteDeathTest, RejectsClusteringOfOtherPoints) {
+  const auto points = ThreeObviousGroups();
+  Clustering short_clustering;
+  short_clustering.assignment = {0, 1};
+  short_clustering.num_clusters = 2;
+  EXPECT_DEATH(MeanSilhouette(points, short_clustering), "");
 }
 
 }  // namespace

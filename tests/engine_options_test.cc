@@ -8,6 +8,7 @@
 #include "datagen/wikipedia.h"
 #include "doc/corpus.h"
 #include "index/inverted_index.h"
+#include "server/protocol.h"
 
 namespace qec {
 namespace {
@@ -122,6 +123,38 @@ TEST_F(EngineOptionsFixture, AllClusteringAlgorithmsWork) {
     ASSERT_TRUE(outcome.ok());
     EXPECT_GE(outcome->num_clusters, 1u);
     EXPECT_LE(outcome->num_clusters, 5u);
+  }
+}
+
+// Absolute pins, recorded before the clustering kernel moved onto the
+// shared point set: HAC and the dynamic selector (which picks HAC here)
+// must stay byte-identical, not merely agree with another path.
+TEST_F(EngineOptionsFixture, ClusteringAlgorithmOutcomesArePinned) {
+  const std::string hac =
+      R"(,"clusters":3,"results_used":18,"set_score":0.97959183673469385,)"
+      R"("queries":[{"keywords":["cell","biology","mitosis"],"cluster_size":8,)"
+      R"("precision":1,"recall":1,"f_measure":1},{"keywords":["cell",)"
+      R"("network","phone","signal"],"cluster_size":6,)"
+      R"("precision":0.88888888888888884,"recall":1,)"
+      R"("f_measure":0.94117647058823528},{"keywords":["cell","famhobhob",)"
+      R"("energy"],"cluster_size":4,"precision":1,"recall":1,"f_measure":1}]})";
+  const std::string kmeans =
+      R"(,"clusters":2,"results_used":18,"set_score":0.92307692307692313,)"
+      R"("queries":[{"keywords":["cell","biology","mitosis"],"cluster_size":8,)"
+      R"("precision":1,"recall":1,"f_measure":1},{"keywords":["cell",)"
+      R"("famhobhob","signal","network"],"cluster_size":10,"precision":1,)"
+      R"("recall":0.75000000000000011,"f_measure":0.85714285714285732}]})";
+  const std::pair<core::ClusteringAlgorithm, const std::string*> legs[] = {
+      {core::ClusteringAlgorithm::kKMeans, &kmeans},
+      {core::ClusteringAlgorithm::kHac, &hac},
+      {core::ClusteringAlgorithm::kDynamic, &hac}};
+  for (const auto& [method, pinned] : legs) {
+    core::QueryExpanderOptions options;
+    options.clustering = method;
+    auto outcome = core::QueryExpander(Index(), options).ExpandText("cell");
+    ASSERT_TRUE(outcome.ok());
+    EXPECT_EQ(server::RenderOutcomeTail(*outcome), *pinned)
+        << static_cast<int>(method);
   }
 }
 

@@ -5,10 +5,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/doc_reorder.h"
+#include "cluster/hac.h"
+#include "cluster/kmeans.h"
+#include "cluster/point_set.h"
+#include "cluster/sparse_vector.h"
 #include "common/dynamic_bitset.h"
 #include "common/random.h"
 #include "common/simd_kernels.h"
@@ -17,6 +25,7 @@
 #include "core/result_universe.h"
 #include "doc/corpus.h"
 #include "index/inverted_index.h"
+#include "obs/metrics.h"
 #include "storage/snapshot.h"
 #include "text/tokenizer.h"
 #include "xml/xml.h"
@@ -709,6 +718,570 @@ TEST_P(ReorderExpansionProperty, ReorderedSnapshotRoundTripIsByteIdentical) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ReorderExpansionProperty,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ------------------------------------------------------- clustering kernel
+
+/// Test-local reference for the clustering kernel: the merge-walk sparse
+/// arithmetic (dot, norm, cosine, AddScaled centroids) and the k-means,
+/// HAC and per-clustering silhouette loops as they ran before clustering
+/// moved onto cluster::PointSet. The library must match it bit for bit.
+namespace ref {
+
+using cluster::Clustering;
+using cluster::SparseVector;
+using Entries = std::vector<std::pair<TermId, double>>;
+
+Entries Of(const SparseVector& v) {
+  return Entries(v.entries().begin(), v.entries().end());
+}
+
+double Dot(const Entries& a, const Entries& b) {
+  double sum = 0.0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].first < b[j].first) {
+      ++i;
+    } else if (b[j].first < a[i].first) {
+      ++j;
+    } else {
+      sum += a[i].second * b[j].second;
+      ++i;
+      ++j;
+    }
+  }
+  return sum;
+}
+
+double Norm(const Entries& v) {
+  double sq = 0.0;
+  for (const auto& [t, w] : v) sq += w * w;
+  return std::sqrt(sq);
+}
+
+double Cosine(const Entries& a, const Entries& b) {
+  double na = Norm(a);
+  double nb = Norm(b);
+  if (na == 0.0 || nb == 0.0) return 0.0;
+  return Dot(a, b) / (na * nb);
+}
+
+/// a += scale * b, dropping entries that cancel to zero.
+void AddScaled(Entries* a, const Entries& b, double scale) {
+  Entries merged;
+  size_t i = 0, j = 0;
+  while (i < a->size() || j < b.size()) {
+    if (j >= b.size() || (i < a->size() && (*a)[i].first < b[j].first)) {
+      merged.push_back((*a)[i++]);
+    } else if (i >= a->size() || b[j].first < (*a)[i].first) {
+      merged.emplace_back(b[j].first, scale * b[j].second);
+      ++j;
+    } else {
+      double w = (*a)[i].second + scale * b[j].second;
+      if (w != 0.0) merged.emplace_back((*a)[i].first, w);
+      ++i;
+      ++j;
+    }
+  }
+  *a = std::move(merged);
+}
+
+void Normalize(Entries* v) {
+  double n = Norm(*v);
+  if (n > 0.0) {
+    for (auto& [t, w] : *v) w *= 1.0 / n;
+  }
+}
+
+double CosineDistance(const Entries& a, const Entries& b) {
+  return 1.0 - Cosine(a, b);
+}
+
+std::vector<size_t> SeedPlusPlus(const std::vector<Entries>& points, size_t k,
+                                 Rng& rng) {
+  std::vector<size_t> seeds;
+  seeds.push_back(static_cast<size_t>(rng.UniformInt(points.size())));
+  std::vector<double> best_dist(points.size(),
+                                std::numeric_limits<double>::infinity());
+  while (seeds.size() < k) {
+    const Entries& last = points[seeds.back()];
+    double total = 0.0;
+    for (size_t i = 0; i < points.size(); ++i) {
+      double d = CosineDistance(points[i], last);
+      best_dist[i] = std::min(best_dist[i], d * d);
+      total += best_dist[i];
+    }
+    if (total <= 0.0) {
+      seeds.push_back(seeds.size() % points.size());
+      continue;
+    }
+    double target = rng.UniformDouble() * total;
+    size_t chosen = points.size() - 1;
+    double acc = 0.0;
+    for (size_t i = 0; i < points.size(); ++i) {
+      acc += best_dist[i];
+      if (acc >= target) {
+        chosen = i;
+        break;
+      }
+    }
+    seeds.push_back(chosen);
+  }
+  return seeds;
+}
+
+Clustering ClusterWithK(const std::vector<Entries>& points,
+                        const cluster::KMeansOptions& options, size_t k_arg,
+                        size_t* iterations) {
+  Clustering result;
+  const size_t n = points.size();
+  result.assignment.assign(n, 0);
+  if (n == 0) return result;
+  const size_t k = std::min(k_arg == 0 ? size_t{1} : k_arg, n);
+  if (k == 1) {
+    result.num_clusters = 1;
+    return result;
+  }
+  if (k == n) {
+    for (size_t i = 0; i < n; ++i) result.assignment[i] = static_cast<int>(i);
+    result.num_clusters = n;
+    return result;
+  }
+  Rng rng(options.seed);
+  std::vector<Entries> centroids;
+  for (size_t s : SeedPlusPlus(points, k, rng)) {
+    centroids.push_back(points[s]);
+    Normalize(&centroids.back());
+  }
+  std::vector<int> assignment(n, -1);
+  for (size_t iter = 0; iter < options.max_iterations; ++iter) {
+    ++*iterations;
+    bool changed = false;
+    for (size_t i = 0; i < n; ++i) {
+      int best = 0;
+      double best_d = std::numeric_limits<double>::infinity();
+      for (size_t c = 0; c < centroids.size(); ++c) {
+        double d = CosineDistance(points[i], centroids[c]);
+        if (d < best_d) {
+          best_d = d;
+          best = static_cast<int>(c);
+        }
+      }
+      if (assignment[i] != best) {
+        assignment[i] = best;
+        changed = true;
+      }
+    }
+    if (!changed && iter > 0) break;
+    std::vector<Entries> next(centroids.size());
+    std::vector<size_t> counts(centroids.size(), 0);
+    for (size_t i = 0; i < n; ++i) {
+      size_t c = static_cast<size_t>(assignment[i]);
+      AddScaled(&next[c], points[i], 1.0);
+      counts[c]++;
+    }
+    for (size_t c = 0; c < next.size(); ++c) {
+      if (counts[c] == 0) {
+        next[c] = centroids[c];
+      } else {
+        Normalize(&next[c]);
+      }
+    }
+    centroids = std::move(next);
+  }
+  std::vector<int> remap(centroids.size(), -1);
+  int next_label = 0;
+  for (size_t i = 0; i < n; ++i) {
+    size_t c = static_cast<size_t>(assignment[i]);
+    if (remap[c] == -1) remap[c] = next_label++;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    result.assignment[i] = remap[static_cast<size_t>(assignment[i])];
+  }
+  result.num_clusters = static_cast<size_t>(next_label);
+  return result;
+}
+
+double MeanSilhouette(const std::vector<Entries>& points,
+                      const Clustering& clustering) {
+  const size_t n = points.size();
+  if (n == 0 || clustering.num_clusters < 2) return 0.0;
+  const size_t k = clustering.num_clusters;
+  std::vector<size_t> cluster_size(k, 0);
+  for (int a : clustering.assignment) cluster_size[static_cast<size_t>(a)]++;
+  double total = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t own = static_cast<size_t>(clustering.assignment[i]);
+    if (cluster_size[own] <= 1) continue;
+    std::vector<double> dist_sum(k, 0.0);
+    for (size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      dist_sum[static_cast<size_t>(clustering.assignment[j])] +=
+          CosineDistance(points[i], points[j]);
+    }
+    const double a = dist_sum[own] / static_cast<double>(cluster_size[own] - 1);
+    double b = std::numeric_limits<double>::infinity();
+    for (size_t c = 0; c < k; ++c) {
+      if (c == own || cluster_size[c] == 0) continue;
+      b = std::min(b, dist_sum[c] / static_cast<double>(cluster_size[c]));
+    }
+    const double denom = std::max(a, b);
+    total += denom > 0.0 ? (b - a) / denom : 0.0;
+  }
+  return total / static_cast<double>(n);
+}
+
+Clustering KMeansCluster(const std::vector<Entries>& points,
+                         const cluster::KMeansOptions& options,
+                         size_t* iterations) {
+  const size_t n = points.size();
+  const size_t k_max = std::min(options.k == 0 ? size_t{1} : options.k, n);
+  if (!options.auto_k || n <= 2 || k_max <= 1) {
+    return ClusterWithK(points, options, k_max, iterations);
+  }
+  Clustering best = ClusterWithK(points, options, 1, iterations);
+  double best_score = 0.0;
+  for (size_t k = 2; k <= k_max; ++k) {
+    Clustering candidate = ClusterWithK(points, options, k, iterations);
+    if (candidate.num_clusters < 2) continue;
+    double score = MeanSilhouette(points, candidate);
+    if (score > best_score + 1e-12) {
+      best_score = score;
+      best = std::move(candidate);
+    }
+  }
+  return best;
+}
+
+/// Average-link agglomeration over the full cosine dissimilarity matrix.
+class Agglomerator {
+ public:
+  explicit Agglomerator(const std::vector<Entries>& points)
+      : n_(points.size()), active_(n_, true), size_(n_, 1),
+        dist_(n_ * n_, 0.0), members_(n_) {
+    for (size_t i = 0; i < n_; ++i) {
+      members_[i] = {i};
+      for (size_t j = i + 1; j < n_; ++j) {
+        double d = 1.0 - Cosine(points[i], points[j]);
+        dist_[i * n_ + j] = d;
+        dist_[j * n_ + i] = d;
+      }
+    }
+    active_count_ = n_;
+  }
+
+  size_t num_active() const { return active_count_; }
+
+  bool MergeClosest() {
+    if (active_count_ < 2) return false;
+    size_t best_a = 0, best_b = 0;
+    double best_d = std::numeric_limits<double>::infinity();
+    for (size_t a = 0; a < n_; ++a) {
+      if (!active_[a]) continue;
+      for (size_t b = a + 1; b < n_; ++b) {
+        if (!active_[b]) continue;
+        if (dist_[a * n_ + b] < best_d) {
+          best_d = dist_[a * n_ + b];
+          best_a = a;
+          best_b = b;
+        }
+      }
+    }
+    const double wa = static_cast<double>(size_[best_a]);
+    const double wb = static_cast<double>(size_[best_b]);
+    for (size_t c = 0; c < n_; ++c) {
+      if (!active_[c] || c == best_a || c == best_b) continue;
+      double d = (wa * dist_[best_a * n_ + c] + wb * dist_[best_b * n_ + c]) /
+                 (wa + wb);
+      dist_[best_a * n_ + c] = d;
+      dist_[c * n_ + best_a] = d;
+    }
+    size_[best_a] += size_[best_b];
+    active_[best_b] = false;
+    --active_count_;
+    members_[best_a].insert(members_[best_a].end(), members_[best_b].begin(),
+                            members_[best_b].end());
+    members_[best_b].clear();
+    return true;
+  }
+
+  Clustering Snapshot() const {
+    Clustering out;
+    out.assignment.assign(n_, 0);
+    int next = 0;
+    for (size_t c = 0; c < n_; ++c) {
+      if (!active_[c]) continue;
+      for (size_t i : members_[c]) out.assignment[i] = next;
+      ++next;
+    }
+    out.num_clusters = static_cast<size_t>(next);
+    return out;
+  }
+
+ private:
+  size_t n_;
+  std::vector<bool> active_;
+  size_t active_count_ = 0;
+  std::vector<size_t> size_;
+  std::vector<double> dist_;
+  std::vector<std::vector<size_t>> members_;
+};
+
+Clustering HacCluster(const std::vector<Entries>& points,
+                      const cluster::HacOptions& options) {
+  const size_t n = points.size();
+  const size_t k_max = std::min(options.k == 0 ? size_t{1} : options.k,
+                                std::max<size_t>(n, 1));
+  if (n == 0) return Clustering();
+  Agglomerator agg(points);
+  if (!options.auto_k || n <= 2 || k_max <= 1) {
+    while (agg.num_active() > std::max<size_t>(1, k_max)) {
+      if (!agg.MergeClosest()) break;
+    }
+    return agg.Snapshot();
+  }
+  while (agg.num_active() > k_max) {
+    if (!agg.MergeClosest()) break;
+  }
+  Clustering best = agg.Snapshot();
+  double best_score =
+      best.num_clusters >= 2 ? MeanSilhouette(points, best) : 0.0;
+  while (agg.num_active() > 2) {
+    if (!agg.MergeClosest()) break;
+    Clustering cut = agg.Snapshot();
+    double score = MeanSilhouette(points, cut);
+    if (score > best_score + 1e-12) {
+      best_score = score;
+      best = std::move(cut);
+    }
+  }
+  if (best_score <= 0.0) {
+    Clustering one;
+    one.assignment.assign(n, 0);
+    one.num_clusters = 1;
+    return one;
+  }
+  return best;
+}
+
+Clustering SelectBest(const std::vector<Entries>& points, size_t k_max,
+                      uint64_t seed, cluster::ClusteringMethod* chosen) {
+  cluster::KMeansOptions kopts;
+  kopts.k = k_max;
+  kopts.seed = seed;
+  kopts.auto_k = true;
+  size_t iterations = 0;
+  Clustering kmeans = KMeansCluster(points, kopts, &iterations);
+  cluster::HacOptions hopts;
+  hopts.k = k_max;
+  hopts.auto_k = true;
+  Clustering hac = HacCluster(points, hopts);
+  const double kmeans_score = MeanSilhouette(points, kmeans);
+  const double hac_score = MeanSilhouette(points, hac);
+  if (hac_score > kmeans_score) {
+    *chosen = cluster::ClusteringMethod::kHac;
+    return hac;
+  }
+  *chosen = cluster::ClusteringMethod::kKMeans;
+  return kmeans;
+}
+
+}  // namespace ref
+
+/// Bitwise equality of two doubles (distinguishes 0.0 from -0.0).
+::testing::AssertionResult SameBits(double a, double b) {
+  if (std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << std::hexfloat << a << " != " << b << std::defaultfloat;
+}
+
+// The sparse-vector expectations below moved here from cluster_test.cc
+// when the library's merge-walk arithmetic was deleted: they now pin the
+// reference the exactness property trusts, and the PointSet kernel that
+// replaced it.
+
+TEST(SparseVectorTest, DotProduct) {
+  ref::Entries a = {{1, 2.0}, {3, 1.0}};
+  ref::Entries b = {{1, 4.0}, {2, 5.0}, {3, 3.0}};
+  EXPECT_DOUBLE_EQ(ref::Dot(a, b), 2.0 * 4.0 + 1.0 * 3.0);
+  EXPECT_DOUBLE_EQ(ref::Dot(a, {}), 0.0);
+  // The kernel's column walk and dense gather see the same dot product.
+  cluster::PointSet set({cluster::SparseVector(a), cluster::SparseVector(b)});
+  std::vector<double> dots(set.size(), 0.0);
+  set.AddDots(0, dots.data());
+  EXPECT_EQ(dots[1], 11.0);
+  std::vector<double> dense(set.dim(), 0.0);
+  set.AddTo(1, dense.data());
+  EXPECT_TRUE(SameBits(set.DistanceTo(0, dense.data(), set.norm(1)),
+                       ref::CosineDistance(a, b)));
+  EXPECT_TRUE(SameBits(set.Distance(0, 1, dots[1]), ref::CosineDistance(a, b)));
+}
+
+TEST(SparseVectorTest, NormAndNormalize) {
+  ref::Entries v = {{0, 3.0}, {1, 4.0}};
+  EXPECT_DOUBLE_EQ(ref::Norm(v), 5.0);
+  EXPECT_DOUBLE_EQ(cluster::SparseVector(v).Norm(), 5.0);
+  EXPECT_DOUBLE_EQ(cluster::PointSet({cluster::SparseVector(v)}).norm(0), 5.0);
+  ref::Normalize(&v);
+  EXPECT_NEAR(ref::Norm(v), 1.0, 1e-12);
+  ref::Entries zero;
+  ref::Normalize(&zero);  // must not crash
+  EXPECT_TRUE(zero.empty());
+}
+
+TEST(SparseVectorTest, CosineBounds) {
+  ref::Entries a = {{1, 1.0}};
+  ref::Entries b = {{1, 7.0}};
+  ref::Entries c = {{2, 1.0}};
+  EXPECT_NEAR(ref::Cosine(a, b), 1.0, 1e-12);
+  EXPECT_DOUBLE_EQ(ref::Cosine(a, c), 0.0);
+  EXPECT_DOUBLE_EQ(ref::Cosine(a, {}), 0.0);
+  // Kernel distances: parallel ~0, disjoint and zero-vector exactly 1.
+  cluster::PointSet set({cluster::SparseVector(a), cluster::SparseVector(b),
+                         cluster::SparseVector(c), cluster::SparseVector()});
+  std::vector<double> dense(set.dim(), 0.0);
+  set.AddTo(0, dense.data());
+  EXPECT_NEAR(set.DistanceTo(1, dense.data(), set.norm(0)), 0.0, 1e-12);
+  EXPECT_EQ(set.DistanceTo(2, dense.data(), set.norm(0)), 1.0);
+  EXPECT_EQ(set.DistanceTo(3, dense.data(), set.norm(0)), 1.0);
+}
+
+TEST(SparseVectorTest, AddScaledMergesDisjointAndOverlap) {
+  ref::Entries a = {{1, 1.0}, {2, 1.0}};
+  ref::AddScaled(&a, {{2, 2.0}, {3, 4.0}}, 0.5);
+  EXPECT_EQ(a, (ref::Entries{{1, 1.0}, {2, 2.0}, {3, 2.0}}));
+}
+
+TEST(SparseVectorTest, AddScaledCancellationDropsEntry) {
+  ref::Entries a = {{1, 1.0}};
+  ref::AddScaled(&a, {{1, 1.0}}, -1.0);
+  EXPECT_TRUE(a.empty());
+}
+
+/// The PointSet kernel (dense centroids, cached norms, one silhouette pass
+/// for every k) against the reference, over seeded point sets that mix
+/// TF-like and fractional weights and cover the edge cases: all-zero
+/// vectors, duplicate points, k >= n, n <= 2 and disjoint vocabularies.
+/// Assignments must be equal and silhouettes bitwise equal.
+class ClusteringExactnessProperty
+    : public ::testing::TestWithParam<uint64_t> {};
+
+std::vector<cluster::SparseVector> RandomPointSet(Rng& rng) {
+  const size_t shape = rng.UniformInt(6);
+  const size_t n = shape == 0 ? rng.UniformInt(3)  // n <= 2
+                              : 3 + rng.UniformInt(shape == 5 ? 60 : 30);
+  const size_t vocab = 1 + rng.UniformInt(shape == 1 ? 6 : 80);
+  const bool fractional = rng.Bernoulli(0.5);
+  const size_t groups = 1 + rng.UniformInt(4);
+  std::vector<cluster::SparseVector> points;
+  for (size_t i = 0; i < n; ++i) {
+    if (shape == 2 && rng.Bernoulli(0.25)) {
+      points.emplace_back();  // all-zero vector
+      continue;
+    }
+    if (shape == 3 && i > 0 && rng.Bernoulli(0.4)) {
+      points.push_back(points[rng.UniformInt(points.size())]);  // duplicate
+      continue;
+    }
+    // Shape 4 gives each group its own disjoint slice of the vocabulary.
+    const TermId offset =
+        shape == 4 ? static_cast<TermId>(rng.UniformInt(groups) * vocab) : 0;
+    std::vector<std::pair<TermId, double>> entries;
+    const size_t len = 1 + rng.UniformInt(12);
+    for (size_t e = 0; e < len; ++e) {
+      const double w = fractional ? 0.01 + rng.UniformDouble() * 3.0
+                                  : static_cast<double>(1 + rng.UniformInt(4));
+      entries.emplace_back(offset + static_cast<TermId>(rng.UniformInt(vocab)),
+                           w);
+    }
+    points.emplace_back(std::move(entries));
+  }
+  return points;
+}
+
+TEST_P(ClusteringExactnessProperty, KernelMatchesMergeWalkReference) {
+  Rng rng(GetParam());
+#ifndef QEC_DISABLE_TRACING
+  obs::Counter* iterations = obs::MetricsRegistry::Global().GetCounter(
+      "cluster/kmeans_iterations");
+#endif
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::vector<cluster::SparseVector> points = RandomPointSet(rng);
+    std::vector<ref::Entries> ref_points;
+    for (const auto& p : points) ref_points.push_back(ref::Of(p));
+    const size_t n = points.size();
+    const size_t k = 1 + rng.UniformInt(n + 3);  // often k >= n
+    const uint64_t seed = rng.Next();
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n) +
+                 " k " + std::to_string(k));
+    const cluster::PointSet point_set(points);
+
+    for (bool auto_k : {false, true}) {
+      cluster::KMeansOptions options;
+      options.k = k;
+      options.seed = seed;
+      options.auto_k = auto_k;
+      size_t ref_iterations = 0;
+      const cluster::Clustering want =
+          ref::KMeansCluster(ref_points, options, &ref_iterations);
+#ifndef QEC_DISABLE_TRACING
+      const uint64_t before = iterations->value();
+#endif
+      const cluster::Clustering got = cluster::KMeans(options).Cluster(points);
+#ifndef QEC_DISABLE_TRACING
+      EXPECT_EQ(iterations->value() - before, ref_iterations) << auto_k;
+#endif
+      ASSERT_EQ(got.assignment, want.assignment) << auto_k;
+      ASSERT_EQ(got.num_clusters, want.num_clusters) << auto_k;
+      const double want_score = ref::MeanSilhouette(ref_points, want);
+      EXPECT_TRUE(SameBits(cluster::MeanSilhouette(points, got), want_score));
+      double reported = -2.0;
+      cluster::KMeans(options).Cluster(point_set, &reported);
+      EXPECT_TRUE(SameBits(reported, want_score)) << auto_k;
+
+      cluster::HacOptions hac_options;
+      hac_options.k = k;
+      hac_options.auto_k = auto_k;
+      const cluster::Clustering want_hac =
+          ref::HacCluster(ref_points, hac_options);
+      const cluster::Clustering got_hac =
+          cluster::Hac(hac_options).Cluster(point_set, &reported);
+      ASSERT_EQ(got_hac.assignment, want_hac.assignment) << auto_k;
+      ASSERT_EQ(got_hac.num_clusters, want_hac.num_clusters) << auto_k;
+      EXPECT_TRUE(
+          SameBits(reported, ref::MeanSilhouette(ref_points, want_hac)));
+    }
+
+    cluster::ClusteringMethod want_method, got_method;
+    const cluster::Clustering want_best =
+        ref::SelectBest(ref_points, k, seed, &want_method);
+    const cluster::Clustering got_best =
+        cluster::SelectBestClustering(points, k, seed, &got_method);
+    ASSERT_EQ(got_best.assignment, want_best.assignment);
+    EXPECT_EQ(got_method, want_method);
+
+    // Arbitrary labelings, scored together in one pass and one at a time.
+    std::vector<cluster::Clustering> labelings(3);
+    for (cluster::Clustering& c : labelings) {
+      c.num_clusters = 1 + rng.UniformInt(std::max<size_t>(n, 1));
+      for (size_t i = 0; i < n; ++i) {
+        c.assignment.push_back(static_cast<int>(rng.UniformInt(c.num_clusters)));
+      }
+    }
+    const std::vector<double> scores =
+        cluster::MeanSilhouettes(point_set, labelings);
+    for (size_t q = 0; q < labelings.size(); ++q) {
+      const double want_score = ref::MeanSilhouette(ref_points, labelings[q]);
+      EXPECT_TRUE(SameBits(scores[q], want_score)) << q;
+      EXPECT_TRUE(
+          SameBits(cluster::MeanSilhouette(points, labelings[q]), want_score));
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringExactnessProperty,
+                         ::testing::Range<uint64_t>(1, 26));
 
 }  // namespace
 }  // namespace qec
