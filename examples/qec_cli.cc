@@ -1,8 +1,7 @@
 // qec_cli — command-line front end for the library, wiring together XML
-// ingestion, corpus persistence, search, and cluster-based query expansion.
+// ingestion, snapshot persistence, search, and cluster-based query
+// expansion.
 //
-//   qec_cli index  <corpus.qec> <file.xml|file.txt>...   build + save corpus
-//   qec_cli gen    <corpus.qec> [shopping|wikipedia]     save a demo corpus
 //   qec_cli index-build   <snap.qsnap> [--reorder=cluster]
 //                  <file...|shopping|wikipedia|clustered:D:C[:SEED]>
 //                  build corpus + inverted index, write one checksummed
@@ -13,17 +12,18 @@
 //   qec_cli index-inspect <snap.qsnap>   print version, section TOC, CRCs,
 //                  permutation presence/identity, and corpus statistics
 //                  (reads only the STAT and PERM sections)
-//   qec_cli stats  <corpus.qec|snap.qsnap>               corpus statistics
-//   qec_cli search <corpus.qec|snap.qsnap> <query words>...  top-10 search
-//   qec_cli expand <corpus.qec|snap.qsnap> [-a iskr|pebc|fmeasure] [-k N]
-//                  [--sweep-threads=N] <query>...
-//   qec_cli explain <corpus.qec|snap.qsnap> [-a algo] [-b algo] [-k N]
-//                  <query>...   run a query through two arms with per-term
-//                  benefit/cost diagnostics and report the winner
-//   qec_cli abtest <corpus.qec|shopping|wikipedia> [-a algo] [-b algo]
+//   qec_cli stats  <snap.qsnap|shopping|wikipedia>       corpus statistics
+//   qec_cli search <snap.qsnap|shopping|wikipedia> <query words>...
+//                  top-10 search
+//   qec_cli expand <snap.qsnap|shopping|wikipedia> [-a iskr|pebc|fmeasure]
+//                  [-k N] [--sweep-threads=N] <query>...
+//   qec_cli explain <snap.qsnap|shopping|wikipedia> [-a algo] [-b algo]
+//                  [-k N] <query>...   run a query through two arms with
+//                  per-term benefit/cost diagnostics and report the winner
+//   qec_cli abtest <snap.qsnap|shopping|wikipedia> [-a algo] [-b algo]
 //                  [-n N] [--queries=FILE]   offline A/B replay: score both
 //                  arms over a query workload and print the tallies
-//   qec_cli serve  <corpus.qec|shopping|wikipedia> [--snapshot=FILE]
+//   qec_cli serve  <snap.qsnap|shopping|wikipedia> [--snapshot=FILE]
 //                  [--port=N [--host=ADDR] [--max-conns=N]
 //                  [--max-line-bytes=N] [--drain-ms=N]]
 //                  [--threads=N] [--queue=N] [--deadline-ms=N] [--no-cache]
@@ -36,10 +36,13 @@
 //   qec_cli slowlog <dump.jsonl> [-n N]                  print a slowlog dump
 //   qec_cli quickstart [--snapshot=FILE [--query=Q]]     in-memory demo
 //
-// Commands taking <corpus.qec> sniff the file magic, so a snapshot works
-// anywhere a corpus blob does (and skips the index rebuild). `serve
-// --snapshot=FILE` starts from the snapshot alone — no XML parsing, no
-// index build.
+// A snapshot (written by `index-build`, docs/FORMATS.md) is the only
+// on-disk corpus: commands load its corpus and prebuilt index in one pass,
+// with no XML parsing and no index build. "shopping" and "wikipedia"
+// generate the demo corpora in memory instead. `serve --snapshot=FILE`
+// accepts only a snapshot file.
+//
+// Malformed numbers in flags or counts are usage errors (exit 2).
 //
 // Global flags (any command; `quickstart` is the default when only flags
 // are given): --metrics-out=FILE writes a metrics JSON snapshot on exit,
@@ -52,6 +55,7 @@
 // the file name).
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <condition_variable>
 #include <csignal>
@@ -82,7 +86,6 @@
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
 #include "datagen/workload.h"
-#include "doc/corpus_io.h"
 #include "eval/obs_report.h"
 #include "index/inverted_index.h"
 #include "snippet/snippet.h"
@@ -95,20 +98,18 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  qec_cli index  <corpus.qec> <file.xml|file.txt>...\n"
-      "  qec_cli gen    <corpus.qec> [shopping|wikipedia]\n"
       "  qec_cli index-build   <snap.qsnap> [--reorder=cluster] "
       "<file...|shopping|wikipedia|clustered:D:C[:SEED]>\n"
       "  qec_cli index-inspect <snap.qsnap>\n"
-      "  qec_cli stats  <corpus.qec|snap.qsnap>\n"
-      "  qec_cli search <corpus.qec|snap.qsnap> <query words>...\n"
-      "  qec_cli expand <corpus.qec|snap.qsnap> [-a iskr|pebc|fmeasure] "
-      "[-k N] [--sweep-threads=N] <query words>...\n"
-      "  qec_cli explain <corpus.qec|snap.qsnap> [-a algo] [-b algo] "
+      "  qec_cli stats  <snap.qsnap|shopping|wikipedia>\n"
+      "  qec_cli search <snap.qsnap|shopping|wikipedia> <query words>...\n"
+      "  qec_cli expand <snap.qsnap|shopping|wikipedia> "
+      "[-a iskr|pebc|fmeasure] [-k N] [--sweep-threads=N] <query words>...\n"
+      "  qec_cli explain <snap.qsnap|shopping|wikipedia> [-a algo] [-b algo] "
       "[-k N] <query words>...\n"
-      "  qec_cli abtest <corpus.qec|shopping|wikipedia> [-a algo] [-b algo] "
+      "  qec_cli abtest <snap.qsnap|shopping|wikipedia> [-a algo] [-b algo] "
       "[-n N] [--queries=FILE]\n"
-      "  qec_cli serve  <corpus.qec|shopping|wikipedia> [--snapshot=FILE] "
+      "  qec_cli serve  <snap.qsnap|shopping|wikipedia> [--snapshot=FILE] "
       "[--port=N [--host=ADDR] [--max-conns=N] [--max-line-bytes=N] "
       "[--drain-ms=N]] "
       "[--admin-port=N [--admin-host=ADDR]] "
@@ -143,9 +144,26 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= len && s.compare(s.size() - len, len, suffix) == 0;
 }
 
+/// Parses all of `text` as a T — no sign on unsigned types, no blanks, no
+/// trailing characters, nothing outside T's range. Every numeric flag and
+/// count goes through it, so a malformed value is a usage error rather than
+/// an uncaught exception.
+template <typename T>
+bool ParseNumber(std::string_view text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+/// ParseNumber on the VALUE of a `--name=VALUE` argument.
+template <typename T>
+bool ParseFlagNumber(std::string_view arg, T* out) {
+  return ParseNumber(arg.substr(arg.find('=') + 1), out);
+}
+
 /// Parses "clustered:<docs>:<clusters>[:<seed>]" into generator options.
-/// Returns false when `spec` is not a clustered spec at all; malformed
-/// counts surface as an error from std::stoull.
+/// Returns false when `spec` is not a clustered spec or a count is
+/// malformed or zero.
 bool ParseClusteredSpec(const std::string& spec,
                         qec::datagen::ClusteredOptions* options) {
   if (!qec::StartsWith(spec, "clustered:")) return false;
@@ -158,15 +176,17 @@ bool ParseClusteredSpec(const std::string& spec,
     begin = end + 1;
   }
   if (parts.size() < 2 || parts.size() > 3) return false;
-  options->num_docs = static_cast<size_t>(std::stoull(parts[0]));
-  options->num_clusters = static_cast<size_t>(std::stoull(parts[1]));
-  if (parts.size() == 3) options->seed = std::stoull(parts[2]);
+  if (!ParseNumber(parts[0], &options->num_docs) ||
+      !ParseNumber(parts[1], &options->num_clusters) ||
+      (parts.size() == 3 && !ParseNumber(parts[2], &options->seed))) {
+    return false;
+  }
   return options->num_docs > 0 && options->num_clusters > 0;
 }
 
 /// Builds a corpus from XML/text files ("shopping"/"wikipedia" generate the
 /// demo catalogs, "clustered:D:C[:SEED]" the synthetic clustered corpus).
-/// Shared by `index` and `index-build`.
+/// A malformed clustered spec is InvalidArgument.
 qec::Result<qec::doc::Corpus> BuildCorpus(const std::vector<std::string>& inputs) {
   if (inputs.size() == 1 && inputs[0] == "shopping") {
     return qec::datagen::ShoppingGenerator().Generate();
@@ -201,9 +221,9 @@ qec::Result<qec::doc::Corpus> BuildCorpus(const std::vector<std::string>& inputs
   return corpus;
 }
 
-/// A corpus + index loaded from a CLI argument: a generator name, a corpus
-/// blob (index rebuilt in one pass), or a snapshot (index loaded as-is —
-/// the zero-rebuild path).
+/// A corpus + index loaded from a CLI argument: a generator name (index
+/// built in memory) or a snapshot (index loaded as-is — the zero-rebuild
+/// path).
 struct LoadedData {
   std::unique_ptr<qec::doc::Corpus> corpus;
   std::unique_ptr<qec::index::InvertedIndex> index;
@@ -220,39 +240,12 @@ qec::Result<LoadedData> LoadCorpusAndIndex(const std::string& arg) {
         std::make_unique<qec::index::InvertedIndex>(*data.corpus);
     return data;
   }
-  auto blob = ReadFile(arg);
-  if (!blob.ok()) return blob.status();
-  if (qec::storage::LooksLikeSnapshot(*blob)) {
-    auto snapshot = qec::storage::DeserializeSnapshot(*blob);
-    if (!snapshot.ok()) return snapshot.status();
-    data.corpus = std::move(snapshot->corpus);
-    data.index = std::move(snapshot->index);
-    data.from_snapshot = true;
-    return data;
-  }
-  auto corpus = qec::doc::DeserializeCorpus(*blob);
-  if (!corpus.ok()) return corpus.status();
-  data.corpus = std::make_unique<qec::doc::Corpus>(std::move(*corpus));
-  data.index = std::make_unique<qec::index::InvertedIndex>(*data.corpus);
+  auto snapshot = qec::storage::ReadSnapshot(arg);
+  if (!snapshot.ok()) return snapshot.status();
+  data.corpus = std::move(snapshot->corpus);
+  data.index = std::move(snapshot->index);
+  data.from_snapshot = true;
   return data;
-}
-
-int CmdIndex(const std::vector<std::string>& args) {
-  if (args.size() < 2) return Usage();
-  auto corpus =
-      BuildCorpus(std::vector<std::string>(args.begin() + 1, args.end()));
-  if (!corpus.ok()) {
-    std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
-  }
-  qec::Status s = qec::doc::SaveCorpus(*corpus, args[0]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("indexed %zu documents into %s\n", corpus->NumDocs(),
-              args[0].c_str());
-  return 0;
 }
 
 int CmdIndexBuild(const std::vector<std::string>& args) {
@@ -278,7 +271,9 @@ int CmdIndexBuild(const std::vector<std::string>& args) {
   auto corpus = BuildCorpus(inputs);
   if (!corpus.ok()) {
     std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-    return 1;
+    return corpus.status().code() == qec::StatusCode::kInvalidArgument
+               ? Usage()
+               : 1;
   }
   qec::Status s = qec::Status::Ok();
   bool identity = true;
@@ -381,33 +376,24 @@ int CmdIndexInspect(const std::vector<std::string>& args) {
   return rc;
 }
 
-int CmdGen(const std::vector<std::string>& args) {
-  if (args.empty()) return Usage();
-  const std::string kind = args.size() > 1 ? args[1] : "wikipedia";
-  qec::doc::Corpus corpus =
-      kind == "shopping" ? qec::datagen::ShoppingGenerator().Generate()
-                         : qec::datagen::WikipediaGenerator().Generate();
-  qec::Status s = qec::doc::SaveCorpus(corpus, args[0]);
-  if (!s.ok()) {
-    std::fprintf(stderr, "%s\n", s.ToString().c_str());
-    return 1;
-  }
-  std::printf("wrote %s corpus (%zu docs) to %s\n", kind.c_str(),
-              corpus.NumDocs(), args[0].c_str());
-  return 0;
-}
-
 int CmdStats(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
-  auto blob = ReadFile(args[0]);
-  if (!blob.ok()) {
-    std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
-    return 1;
-  }
   qec::doc::CorpusStats stats;
-  if (qec::storage::LooksLikeSnapshot(*blob)) {
-    // Snapshot: statistics live in their own section, so no documents or
+  if (args[0] == "shopping" || args[0] == "wikipedia") {
+    auto data = LoadCorpusAndIndex(args[0]);
+    if (!data.ok()) {
+      std::fprintf(stderr, "%s\n", data.status().ToString().c_str());
+      return 1;
+    }
+    stats = data->corpus->Stats();
+  } else {
+    // Statistics live in the snapshot's STAT section, so no documents or
     // postings are decoded.
+    auto blob = qec::storage::ReadSnapshotBlob(args[0]);
+    if (!blob.ok()) {
+      std::fprintf(stderr, "%s\n", blob.status().ToString().c_str());
+      return 1;
+    }
     auto reader = qec::storage::SnapshotReader::Open(*blob);
     if (!reader.ok()) {
       std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
@@ -419,13 +405,6 @@ int CmdStats(const std::vector<std::string>& args) {
       return 1;
     }
     stats = *loaded;
-  } else {
-    auto corpus = qec::doc::DeserializeCorpus(*blob);
-    if (!corpus.ok()) {
-      std::fprintf(stderr, "%s\n", corpus.status().ToString().c_str());
-      return 1;
-    }
-    stats = corpus->Stats();
   }
   std::printf("documents:        %zu\n", stats.num_docs);
   std::printf("distinct terms:   %zu\n", stats.num_distinct_terms);
@@ -498,14 +477,12 @@ int CmdExpand(const std::vector<std::string>& args) {
       }
       i += 2;
     } else if (args[i] == "-k" && i + 1 < args.size()) {
-      options.max_clusters = static_cast<size_t>(std::stoul(args[i + 1]));
+      if (!ParseNumber(args[i + 1], &options.max_clusters)) return Usage();
       i += 2;
     } else if (qec::StartsWith(args[i], "--sweep-threads=")) {
       // Scatter-gather benefit/cost sweeps inside every algorithm; merges
       // are candidate-ordered, so output is byte-identical to serial.
-      const size_t n = static_cast<size_t>(
-          std::stoul(args[i].substr(strlen("--sweep-threads="))));
-      options.sweep.threads = n;
+      if (!ParseFlagNumber(args[i], &options.sweep.threads)) return Usage();
       i += 1;
     } else {
       return Usage();
@@ -560,7 +537,7 @@ int CmdExplain(const std::vector<std::string>& args) {
       if (!ParseAlgoName(args[i + 1], &shadow_algo)) return Usage();
       i += 2;
     } else if (args[i] == "-k" && i + 1 < args.size()) {
-      options.max_clusters = static_cast<size_t>(std::stoul(args[i + 1]));
+      if (!ParseNumber(args[i + 1], &options.max_clusters)) return Usage();
       i += 2;
     } else {
       return Usage();
@@ -649,7 +626,7 @@ int CmdAbtest(const std::vector<std::string>& args) {
     } else if (args[i] == "-b" && i + 1 < args.size()) {
       if (!ParseAlgoName(args[++i], &shadow_algo)) return Usage();
     } else if (args[i] == "-n" && i + 1 < args.size()) {
-      limit = static_cast<size_t>(std::stoul(args[++i]));
+      if (!ParseNumber(args[++i], &limit)) return Usage();
     } else if (qec::StartsWith(args[i], "--queries=")) {
       queries_file = args[i].substr(strlen("--queries="));
     } else if (corpus_arg.empty()) {
@@ -834,9 +811,9 @@ class OrderedStdout {
 // stdin/stdout — one request line in, one JSON response line out — or, with
 // --port=N, by the epoll network front end serving the same protocol over
 // TCP with pipelining (--port=0 binds an ephemeral port and reports it on
-// stderr). The corpus argument is a .qec file, or the literal
+// stderr). The corpus argument is a snapshot file, or the literal
 // "shopping"/"wikipedia" to serve a generated demo corpus;
-// `--snapshot=FILE` starts from a checksummed snapshot instead — no XML
+// `--snapshot=FILE` names a checksummed snapshot explicitly — no XML
 // parsing, no index rebuild.
 int CmdServe(const std::vector<std::string>& args) {
   if (args.empty()) return Usage();
@@ -849,69 +826,56 @@ int CmdServe(const std::vector<std::string>& args) {
   std::string snapshot_path;
   std::string metrics_flush_out = "metrics.prom";
   uint64_t metrics_flush_interval_s = 0;
+  bool numbers_ok = true;
   for (const std::string& arg : args) {
     if (qec::StartsWith(arg, "--port=")) {
       net_mode = true;
-      net_options.port =
-          static_cast<uint16_t>(std::stoul(arg.substr(strlen("--port="))));
+      numbers_ok &= ParseFlagNumber(arg, &net_options.port);
     } else if (qec::StartsWith(arg, "--host=")) {
       net_options.host = arg.substr(strlen("--host="));
     } else if (qec::StartsWith(arg, "--max-conns=")) {
-      net_options.max_connections =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--max-conns="))));
+      numbers_ok &= ParseFlagNumber(arg, &net_options.max_connections);
     } else if (qec::StartsWith(arg, "--max-line-bytes=")) {
-      net_options.max_line_bytes = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--max-line-bytes="))));
+      numbers_ok &= ParseFlagNumber(arg, &net_options.max_line_bytes);
     } else if (qec::StartsWith(arg, "--drain-ms=")) {
-      net_options.drain_timeout_ms =
-          std::stoull(arg.substr(strlen("--drain-ms=")));
+      numbers_ok &= ParseFlagNumber(arg, &net_options.drain_timeout_ms);
     } else if (qec::StartsWith(arg, "--admin-port=")) {
       admin_mode = true;
-      admin_options.port = static_cast<uint16_t>(
-          std::stoul(arg.substr(strlen("--admin-port="))));
+      numbers_ok &= ParseFlagNumber(arg, &admin_options.port);
     } else if (qec::StartsWith(arg, "--admin-host=")) {
       admin_options.host = arg.substr(strlen("--admin-host="));
     } else if (qec::StartsWith(arg, "--snapshot=")) {
       snapshot_path = arg.substr(strlen("--snapshot="));
     } else if (qec::StartsWith(arg, "--threads=")) {
-      options.num_threads =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--threads="))));
+      numbers_ok &= ParseFlagNumber(arg, &options.num_threads);
     } else if (qec::StartsWith(arg, "--queue=")) {
-      options.queue_capacity =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--queue="))));
+      numbers_ok &= ParseFlagNumber(arg, &options.queue_capacity);
     } else if (qec::StartsWith(arg, "--deadline-ms=")) {
-      options.default_deadline_ms =
-          std::stoull(arg.substr(strlen("--deadline-ms=")));
+      numbers_ok &= ParseFlagNumber(arg, &options.default_deadline_ms);
     } else if (arg == "--no-cache") {
       options.enable_expansion_cache = false;
       options.enable_set_algebra_cache = false;
     } else if (qec::StartsWith(arg, "--cache-size=")) {
-      options.expansion_cache_capacity =
-          static_cast<size_t>(std::stoul(arg.substr(strlen("--cache-size="))));
+      numbers_ok &= ParseFlagNumber(arg, &options.expansion_cache_capacity);
     } else if (qec::StartsWith(arg, "--slowlog-dump=")) {
       options.slowlog_dump_path = arg.substr(strlen("--slowlog-dump="));
     } else if (qec::StartsWith(arg, "--slow-ms=")) {
-      options.slow_request_threshold_ms =
-          std::stoull(arg.substr(strlen("--slow-ms=")));
+      numbers_ok &= ParseFlagNumber(arg, &options.slow_request_threshold_ms);
     } else if (qec::StartsWith(arg, "--flight-recorder=")) {
-      options.flight_recorder_capacity = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--flight-recorder="))));
+      numbers_ok &= ParseFlagNumber(arg, &options.flight_recorder_capacity);
     } else if (qec::StartsWith(arg, "--metrics-flush-interval=")) {
-      metrics_flush_interval_s =
-          std::stoull(arg.substr(strlen("--metrics-flush-interval=")));
+      numbers_ok &= ParseFlagNumber(arg, &metrics_flush_interval_s);
     } else if (qec::StartsWith(arg, "--metrics-flush-out=")) {
       metrics_flush_out = arg.substr(strlen("--metrics-flush-out="));
     } else if (qec::StartsWith(arg, "--shadow-rate=")) {
-      options.shadow_sample_rate =
-          std::stod(arg.substr(strlen("--shadow-rate=")));
+      numbers_ok &= ParseFlagNumber(arg, &options.shadow_sample_rate);
     } else if (qec::StartsWith(arg, "--shadow-algo=")) {
       if (!ParseAlgoName(arg.substr(strlen("--shadow-algo=")),
                          &options.shadow_algorithm)) {
         return Usage();
       }
     } else if (qec::StartsWith(arg, "--shadow-queue=")) {
-      options.shadow_queue_capacity = static_cast<size_t>(
-          std::stoul(arg.substr(strlen("--shadow-queue="))));
+      numbers_ok &= ParseFlagNumber(arg, &options.shadow_queue_capacity);
     } else if (qec::StartsWith(arg, "--")) {
       return Usage();
     } else if (corpus_arg.empty()) {
@@ -920,11 +884,12 @@ int CmdServe(const std::vector<std::string>& args) {
       return Usage();
     }
   }
-  if (corpus_arg.empty() == snapshot_path.empty()) return Usage();
+  if (!numbers_ok || corpus_arg.empty() == snapshot_path.empty()) {
+    return Usage();
+  }
 
-  // LoadCorpusAndIndex sniffs the magic, so both the positional argument
-  // and --snapshot accept either format; the flag spelling documents intent
-  // and rejects non-snapshot files.
+  // The positional argument is a snapshot file or a generator name;
+  // --snapshot accepts only a snapshot file.
   auto data = LoadCorpusAndIndex(snapshot_path.empty() ? corpus_arg
                                                        : snapshot_path);
   if (!data.ok()) {
@@ -1116,7 +1081,7 @@ int CmdSlowlog(const std::vector<std::string>& args) {
   for (size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "-n") {
       if (i + 1 >= args.size()) return Usage();
-      keep = static_cast<size_t>(std::stoul(args[++i]));
+      if (!ParseNumber(args[++i], &keep)) return Usage();
     } else if (path.empty()) {
       path = args[i];
     } else {
@@ -1249,11 +1214,11 @@ int CmdProfile(const std::vector<std::string>& args) {
     const std::string& arg = args[i];
     if (arg == "-n") {
       if (i + 1 >= args.size()) return Usage();
-      limit = static_cast<size_t>(std::stoul(args[++i]));
+      if (!ParseNumber(args[++i], &limit)) return Usage();
     } else if (qec::StartsWith(arg, "--self=")) {
-      self_seconds = std::stod(arg.substr(strlen("--self=")));
+      if (!ParseFlagNumber(arg, &self_seconds)) return Usage();
     } else if (qec::StartsWith(arg, "--hz=")) {
-      hz = std::stoi(arg.substr(strlen("--hz=")));
+      if (!ParseFlagNumber(arg, &hz)) return Usage();
     } else if (qec::StartsWith(arg, "--out=")) {
       out_path = arg.substr(strlen("--out="));
     } else if (qec::StartsWith(arg, "--")) {
@@ -1409,14 +1374,10 @@ int main(int argc, char** argv) {
   } else {
     const std::string cmd = args[0];
     const std::vector<std::string> rest(args.begin() + 1, args.end());
-    if (cmd == "index") {
-      rc = CmdIndex(rest);
-    } else if (cmd == "index-build") {
+    if (cmd == "index-build") {
       rc = CmdIndexBuild(rest);
     } else if (cmd == "index-inspect") {
       rc = CmdIndexInspect(rest);
-    } else if (cmd == "gen") {
-      rc = CmdGen(rest);
     } else if (cmd == "stats") {
       rc = CmdStats(rest);
     } else if (cmd == "search") {

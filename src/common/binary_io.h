@@ -10,7 +10,7 @@
 namespace qec {
 
 /// Little-endian append-only writer shared by the binary formats in
-/// docs/FORMATS.md (corpus blob, snapshot sections).
+/// docs/FORMATS.md (the snapshot's header, TOC and sections).
 class BinaryWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }

@@ -221,25 +221,6 @@ double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
       b, c);
 }
 
-std::vector<WordRange> ResultUniverse::ShardByDocRange(
-    size_t target_shards) const {
-  const size_t words = empty_.NumWords();
-  std::vector<WordRange> shards;
-  if (words == 0) return shards;
-  if (target_shards == 0) target_shards = 1;
-  if (target_shards > words) target_shards = words;
-  shards.reserve(target_shards);
-  const size_t base = words / target_shards;
-  const size_t extra = words % target_shards;
-  size_t begin = 0;
-  for (size_t s = 0; s < target_shards; ++s) {
-    const size_t width = base + (s < extra ? 1 : 0);
-    shards.push_back(WordRange{begin, begin + width});
-    begin += width;
-  }
-  return shards;
-}
-
 const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {
   auto it = term_docs_.find(term);
   if (it == term_docs_.end()) return empty_;

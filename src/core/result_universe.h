@@ -103,15 +103,6 @@ class ResultUniverse {
   double WeightWhereInRange(const WordRange& range, Combine&& combine,
                             const Sets&... sets) const;
 
-  /// Shards the universe's local-id space into up to `target_shards`
-  /// contiguous word-aligned doc-id ranges of near-equal width. Universes
-  /// built over cluster-reordered corpora keep each cluster inside one run
-  /// of ids, so clusters stay shard-local and per-shard pruning (via
-  /// NonzeroWordRange) skips whole shards. Never returns an empty
-  /// partition for a non-empty universe; `target_shards` is clamped to the
-  /// word count.
-  std::vector<WordRange> ShardByDocRange(size_t target_shards) const;
-
   /// S(universe).
   double total_weight() const { return total_weight_; }
 

@@ -55,21 +55,28 @@ Result<std::vector<Posting>> DecodePostings(std::string_view data) {
   }
   std::vector<Posting> out;
   out.reserve(*count);
-  uint64_t prev = 0;
+  // `next` is the smallest doc id the next posting may carry: 0 first, then
+  // the previous id + 1 (at most 2^32, so the bound below never wraps). A
+  // gap is valid only while next + gap fits a DocId; checking before the add
+  // keeps a gap near 2^64 from wrapping back below the previous id, which
+  // would break the sorted-list invariant.
+  constexpr uint64_t kDocIdSpace =
+      static_cast<uint64_t>(std::numeric_limits<DocId>::max()) + 1;
+  uint64_t next = 0;
   for (uint64_t i = 0; i < *count; ++i) {
     auto gap = ReadVarint(data, &pos);
     if (!gap.ok()) return gap.status();
     auto tf = ReadVarint(data, &pos);
     if (!tf.ok()) return tf.status();
-    const uint64_t doc = i == 0 ? *gap : prev + *gap + 1;
-    if (doc > std::numeric_limits<DocId>::max()) {
+    if (*gap >= kDocIdSpace - next) {
       return Status::Corruption("doc id overflow");
     }
+    const uint64_t doc = next + *gap;
     if (*tf == 0 || *tf > std::numeric_limits<int>::max()) {
       return Status::Corruption("invalid term frequency");
     }
     out.push_back(Posting{static_cast<DocId>(doc), static_cast<int>(*tf)});
-    prev = doc;
+    next = doc + 1;
   }
   if (pos != data.size()) {
     return Status::Corruption("trailing bytes after postings");

@@ -16,13 +16,14 @@ namespace qec::index {
 std::string EncodePostings(const std::vector<Posting>& postings);
 
 /// Decodes a blob produced by EncodePostings. Returns Corruption on
-/// truncated varbytes, non-monotonic doc ids, zero term frequencies,
+/// truncated varbytes, gaps that overflow the DocId range (so decoded ids
+/// are always strictly increasing), zero term frequencies,
 /// posting counts the payload cannot possibly hold (each posting costs at
 /// least 2 bytes), or trailing bytes after the last posting.
 Result<std::vector<Posting>> DecodePostings(std::string_view data);
 
 /// Appends `value` to `out` as a varbyte integer (7 bits per byte, high
-/// bit = continuation). Exposed for the index serializer.
+/// bit = continuation). Exposed for the snapshot INDX section.
 void AppendVarint(uint64_t value, std::string& out);
 
 /// Reads a varbyte integer at `*pos`, advancing it. Returns Corruption on

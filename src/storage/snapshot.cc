@@ -81,8 +81,8 @@ std::string EncodeStatsSection(const doc::CorpusStats& stats) {
 }
 
 std::string EncodeIndexSection(const index::InvertedIndex& index) {
-  // Same body as index::SerializeIndex sans magic: the delta + varbyte
-  // posting codec is the storage format for posting lists.
+  // Term count, then one length-prefixed delta + varbyte posting blob per
+  // term (index/posting_codec.h) in TermId order.
   std::string out;
   const size_t num_terms = index.corpus().analyzer().vocabulary().size();
   index::AppendVarint(num_terms, out);
@@ -408,7 +408,8 @@ Result<doc::Corpus> SnapshotReader::LoadCorpus() const {
     }
     uint32_t num_features = 0;
     QEC_RETURN_IF_ERROR(dr.U32(num_features));
-    if (num_features > dr.remaining()) {
+    // Each feature is three length-prefixed strings, at least 12 bytes.
+    if (num_features > dr.remaining() / 12) {
       return Status::Corruption("implausible snapshot feature count");
     }
     std::vector<doc::Feature> features;
@@ -533,11 +534,6 @@ Result<Snapshot> ReadSnapshot(const std::string& path) {
   auto blob = ReadSnapshotBlob(path);
   if (!blob.ok()) return blob.status();
   return DeserializeSnapshot(*blob);
-}
-
-bool LooksLikeSnapshot(std::string_view data) {
-  return data.size() >= kSnapshotMagic.size() &&
-         data.substr(0, kSnapshotMagic.size()) == kSnapshotMagic;
 }
 
 }  // namespace qec::storage

@@ -7,8 +7,8 @@
 #include "datagen/shopping.h"
 #include "datagen/wikipedia.h"
 #include "eval/bootstrap.h"
-#include "index/index_io.h"
 #include "index/inverted_index.h"
+#include "storage/snapshot.h"
 
 namespace qec {
 namespace {
@@ -24,12 +24,13 @@ class ParallelBuildFixture : public ::testing::Test {
 
 TEST_F(ParallelBuildFixture, IdenticalToSerialForAllThreadCounts) {
   index::InvertedIndex serial(corpus_);
-  const std::string serial_blob = index::SerializeIndex(serial);
+  const std::string serial_blob = storage::SerializeSnapshot(serial);
   for (size_t threads : {2, 3, 4, 7, 16}) {
     index::InvertedIndex parallel(corpus_);
     parallel.RebuildParallel(threads);
-    // Byte-identical serialized postings == identical index.
-    EXPECT_EQ(index::SerializeIndex(parallel), serial_blob)
+    // Byte-identical snapshots (INDX holds every posting) == identical
+    // index.
+    EXPECT_EQ(storage::SerializeSnapshot(parallel), serial_blob)
         << threads << " threads";
   }
 }
@@ -47,9 +48,9 @@ TEST_F(ParallelBuildFixture, MoreThreadsThanDocuments) {
 
 TEST_F(ParallelBuildFixture, SingleThreadFallsBackToSerial) {
   index::InvertedIndex index(corpus_);
-  std::string before = index::SerializeIndex(index);
+  std::string before = storage::SerializeSnapshot(index);
   index.RebuildParallel(1);
-  EXPECT_EQ(index::SerializeIndex(index), before);
+  EXPECT_EQ(storage::SerializeSnapshot(index), before);
 }
 
 TEST_F(ParallelBuildFixture, SearchResultsUnchanged) {

@@ -10,7 +10,9 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cluster/doc_reorder.h"
@@ -138,7 +140,8 @@ TEST(SnapshotRoundTripTest, ShoppingCatalog) {
   ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
   ExpectSameCorpus(corpus, *snapshot->corpus);
   ExpectSameIndex(corpus, index, *snapshot->index);
-  // Search through the loaded index is identical.
+  // Search through the loaded index is identical, VSM included (it ranks
+  // by the document norms the loaded index recomputes).
   for (const char* q : {"canon camera", "samsung tv", "memory"}) {
     auto a = index.SearchText(q);
     auto b = snapshot->index->SearchText(q);
@@ -147,7 +150,35 @@ TEST(SnapshotRoundTripTest, ShoppingCatalog) {
       EXPECT_EQ(a[i].doc, b[i].doc);
       EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
     }
+    auto terms = corpus.analyzer().AnalyzeReadOnly(q);
+    auto va = index.SearchVsm(terms, 5);
+    auto vb = snapshot->index->SearchVsm(terms, 5);
+    ASSERT_EQ(va.size(), vb.size()) << q;
+    for (size_t i = 0; i < va.size(); ++i) {
+      EXPECT_EQ(va[i].doc, vb[i].doc) << q;
+      EXPECT_DOUBLE_EQ(va[i].score, vb[i].score) << q;
+    }
   }
+}
+
+TEST(SnapshotRoundTripTest, AnalyzerOptionsSurvive) {
+  text::AnalyzerOptions options;
+  options.stem = true;
+  options.remove_stopwords = false;
+  options.tokenizer.min_token_length = 2;
+  doc::Corpus corpus(options);
+  corpus.AddTextDocument("t", "the running dogs");
+  index::InvertedIndex index(corpus);
+  auto snapshot = DeserializeSnapshot(SerializeSnapshot(index));
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+  const text::Analyzer& loaded = snapshot->corpus->analyzer();
+  EXPECT_TRUE(loaded.options().stem);
+  EXPECT_FALSE(loaded.options().remove_stopwords);
+  EXPECT_EQ(loaded.options().tokenizer.min_token_length, 2u);
+  // New analysis behaves identically: "running" stems to "run".
+  auto ids = loaded.AnalyzeReadOnly("running");
+  ASSERT_EQ(ids.size(), 1u);
+  EXPECT_EQ(loaded.vocabulary().TermString(ids[0]), "run");
 }
 
 TEST(SnapshotRoundTripTest, EmptyCorpus) {
@@ -210,11 +241,38 @@ TEST(SnapshotReaderTest, UnknownSectionIsNotFound) {
 }
 
 TEST(SnapshotReaderTest, SniffsMagic) {
+  // Open() is the only magic check: a snapshot opens, anything else —
+  // another magic over otherwise intact bytes, or no bytes — is Corruption.
   doc::Corpus corpus = TextCorpus();
   index::InvertedIndex index(corpus);
-  EXPECT_TRUE(LooksLikeSnapshot(SerializeSnapshot(index)));
-  EXPECT_FALSE(LooksLikeSnapshot("QECCORP1 something else"));
-  EXPECT_FALSE(LooksLikeSnapshot(""));
+  std::string blob = SerializeSnapshot(index);
+  EXPECT_TRUE(SnapshotReader::Open(blob).ok());
+  std::string other = blob;
+  other.replace(0, kSnapshotMagic.size(), "NOTASNAP");
+  for (std::string_view data : {std::string_view(other), std::string_view()}) {
+    auto reader = SnapshotReader::Open(data);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
+  }
+  EXPECT_NE(SnapshotReader::Open(other).status().message().find("magic"),
+            std::string::npos);
+}
+
+TEST(SnapshotReaderTest, IndexSectionIsCompressed) {
+  // Raw postings would be 8 bytes each (doc u32 + tf u32); the delta +
+  // varbyte INDX section must be markedly smaller on the catalog.
+  doc::Corpus corpus = datagen::ShoppingGenerator().Generate();
+  index::InvertedIndex index(corpus);
+  std::string blob = SerializeSnapshot(index);
+  auto reader = SnapshotReader::Open(blob);
+  ASSERT_TRUE(reader.ok());
+  auto indx = reader->Section(kSectionIndex);
+  ASSERT_TRUE(indx.ok());
+  size_t raw = 0;
+  for (TermId t = 0; t < corpus.analyzer().vocabulary().size(); ++t) {
+    raw += index.Postings(t).size() * 8;
+  }
+  EXPECT_LT(indx->size(), raw / 2);
 }
 
 // -------------------------------------------------------------- corruption
@@ -379,6 +437,119 @@ TEST(SnapshotFuzzTest, RandomMutationsNeverCrash) {
   }
 }
 
+/// TOC position and entry of section `id` in `blob` (which must open
+/// cleanly).
+std::pair<size_t, SectionInfo> FindSection(std::string_view blob,
+                                           std::string_view id) {
+  auto reader = SnapshotReader::Open(blob);
+  EXPECT_TRUE(reader.ok());
+  for (size_t i = 0; i < reader->sections().size(); ++i) {
+    if (reader->sections()[i].id == id) return {i, reader->sections()[i]};
+  }
+  ADD_FAILURE() << "no section " << id;
+  return {};
+}
+
+/// What a successful load promises whatever the payload bytes were: every
+/// document term id is in the vocabulary, and every posting list strictly
+/// increases over ids of loaded documents.
+void ExpectIdsInRange(const Snapshot& snapshot) {
+  const doc::Corpus& corpus = *snapshot.corpus;
+  const size_t vocab = corpus.analyzer().vocabulary().size();
+  for (DocId d = 0; d < corpus.NumDocs(); ++d) {
+    for (TermId t : corpus.Get(d).terms()) ASSERT_LT(t, vocab) << "doc " << d;
+  }
+  for (TermId t = 0; t < vocab; ++t) {
+    const auto& postings = snapshot.index->Postings(t);
+    for (size_t i = 0; i < postings.size(); ++i) {
+      ASSERT_LT(postings[i].doc, corpus.NumDocs()) << "term " << t;
+      if (i > 0) {
+        ASSERT_GT(postings[i].doc, postings[i - 1].doc) << "term " << t;
+      }
+    }
+  }
+}
+
+TEST(SnapshotFuzzTest, PayloadMutationsWithFixedCrcsNeverCrash) {
+  // Random flips are almost always caught by a CRC before any decoder runs.
+  // Re-checksumming after each mutation sends the bytes through the DOCS
+  // and INDX decoders instead, so their range checks (term ids, counts,
+  // posting gaps, doc ids) are what must turn bad input into Corruption;
+  // whatever they accept must still have every id in range.
+  doc::Corpus corpus = StructuredCorpus();
+  index::InvertedIndex index(corpus);
+  const std::string blob = SerializeSnapshot(index);
+  const std::pair<size_t, SectionInfo> targets[] = {
+      FindSection(blob, kSectionDocs), FindSection(blob, kSectionIndex)};
+  Rng rng(2024);
+  size_t rejected = 0;
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string mutated = blob;
+    const auto& [idx, info] = targets[rng.UniformInt(2)];
+    const size_t flips = 1 + rng.UniformInt(4);
+    for (size_t f = 0; f < flips; ++f) {
+      mutated[info.offset + rng.UniformInt(info.length)] =
+          static_cast<char>(rng.UniformInt(256));
+    }
+    FixCrcs(mutated, idx, info.offset, info.length);
+    auto snapshot = DeserializeSnapshot(mutated);  // must not crash
+    if (snapshot.ok()) {
+      ExpectIdsInRange(*snapshot);
+      continue;
+    }
+    ++rejected;
+    EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption)
+        << snapshot.status().ToString();
+    EXPECT_EQ(snapshot.status().message().find("checksum"), std::string::npos)
+        << "CRCs were fixed, so a decoder must reject: "
+        << snapshot.status().ToString();
+  }
+  EXPECT_GT(rejected, 0u);
+}
+
+TEST(SnapshotCorruptionTest, ForgedFeatureCountIsCorruption) {
+  // Every feature costs at least 12 encoded bytes (three length-prefixed
+  // strings), so a count above remaining / 12 is rejected before anything
+  // is reserved for it, even with valid CRCs.
+  doc::Corpus corpus;
+  corpus.AddStructuredDocument(
+      "canon camera", {{"camera", "brand", "canon"},
+                       {"camera", "model", "powershot 115"}});
+  index::InvertedIndex index(corpus);
+  std::string blob = SerializeSnapshot(index);
+  const auto [idx, docs] = FindSection(blob, kSectionDocs);
+  // DOCS: num_docs u32, then kind u8, title str, num_terms u32 + terms.
+  const doc::Document& d = corpus.Get(0);
+  const size_t count_pos = docs.offset + 4 + 1 + 4 + d.title().size() + 4 +
+                           4 * d.terms().size();
+  const size_t features_bytes = docs.offset + docs.length - (count_pos + 4);
+  PutU32(blob, count_pos, static_cast<uint32_t>(features_bytes / 12 + 1));
+  FixCrcs(blob, idx, docs.offset, docs.length);
+  auto snapshot = DeserializeSnapshot(blob);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snapshot.status().message().find("feature count"),
+            std::string::npos)
+      << snapshot.status().ToString();
+}
+
+TEST(SnapshotCorruptionTest, IndexVocabularyMismatchIsCorruption) {
+  // INDX must hold one posting list per vocabulary term.
+  doc::Corpus corpus = TextCorpus();
+  index::InvertedIndex index(corpus);
+  std::string blob = SerializeSnapshot(index);
+  const auto [idx, indx] = FindSection(blob, kSectionIndex);
+  const size_t vocab = corpus.analyzer().vocabulary().size();
+  ASSERT_LT(vocab + 1, 0x80u);  // the term count is a one-byte varint
+  blob[indx.offset] = static_cast<char>(vocab + 1);
+  FixCrcs(blob, idx, indx.offset, indx.length);
+  auto snapshot = DeserializeSnapshot(blob);
+  ASSERT_FALSE(snapshot.ok());
+  EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(snapshot.status().message().find("vocabulary"), std::string::npos)
+      << snapshot.status().ToString();
+}
+
 // -------------------------------------------------------------------- file
 
 TEST(SnapshotFileTest, WriteReadRoundTrip) {
@@ -396,6 +567,268 @@ TEST(SnapshotFileTest, MissingFileIsNotFound) {
   auto snapshot = ReadSnapshot("/tmp/qec_missing_snapshot_31415.qsnap");
   ASSERT_FALSE(snapshot.ok());
   EXPECT_EQ(snapshot.status().code(), StatusCode::kNotFound);
+}
+
+// ------------------------------------------------- corpus half (LoadCorpus)
+//
+// The reader restores the corpus (META + VOCA + DOCS) on its own; a caller
+// that indexes the documents itself, like bench_snapshot_io's rebuild arm,
+// stops there.
+
+doc::Corpus MakeMixedCorpus() {
+  doc::Corpus corpus;
+  corpus.AddTextDocument("t0", "apple store iphone apple");
+  corpus.AddTextDocument("t1", "apple fruit orchard");
+  corpus.AddStructuredDocument(
+      "p0", {{"Canon products", "category", "camera"},
+             {"camera", "shutter speed", "15 - 1/3200 sec."}});
+  return corpus;
+}
+
+std::string SnapshotOf(const doc::Corpus& corpus) {
+  index::InvertedIndex index(corpus);
+  return SerializeSnapshot(index);
+}
+
+Result<doc::Corpus> LoadCorpusOnly(std::string_view blob) {
+  auto reader = SnapshotReader::Open(blob);
+  if (!reader.ok()) return reader.status();
+  return reader->LoadCorpus();
+}
+
+TEST(CorpusIoTest, RoundTripPreservesEverything) {
+  doc::Corpus original = MakeMixedCorpus();
+  auto loaded = LoadCorpusOnly(SnapshotOf(original));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameCorpus(original, *loaded);
+  // Term strings survive with identical ids.
+  TermId apple = original.analyzer().vocabulary().Lookup("apple");
+  EXPECT_EQ(loaded->analyzer().vocabulary().TermString(apple), "apple");
+}
+
+TEST(CorpusIoTest, LoadedCorpusIndexesIdentically) {
+  doc::Corpus original = MakeMixedCorpus();
+  auto loaded = LoadCorpusOnly(SnapshotOf(original));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  index::InvertedIndex idx_a(original);
+  index::InvertedIndex idx_b(*loaded);
+  ExpectSameIndex(original, idx_a, idx_b);
+  auto ra = idx_a.SearchText("apple");
+  auto rb = idx_b.SearchText("apple");
+  ASSERT_EQ(ra.size(), rb.size());
+  for (size_t i = 0; i < ra.size(); ++i) {
+    EXPECT_EQ(ra[i].doc, rb[i].doc);
+    EXPECT_DOUBLE_EQ(ra[i].score, rb[i].score);
+  }
+}
+
+TEST(CorpusIoTest, BadMagicIsCorruption) {
+  std::string blob = SnapshotOf(MakeMixedCorpus());
+  blob[0] = 'X';
+  auto loaded = LoadCorpusOnly(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CorpusIoTest, TruncationIsCorruption) {
+  std::string blob = SnapshotOf(MakeMixedCorpus());
+  for (size_t cut : {blob.size() - 1, blob.size() / 2, size_t{9}}) {
+    auto loaded = LoadCorpusOnly(std::string_view(blob).substr(0, cut));
+    ASSERT_FALSE(loaded.ok()) << "cut at " << cut;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST(CorpusIoTest, TrailingBytesAreCorruption) {
+  std::string blob = SnapshotOf(MakeMixedCorpus());
+  blob += "junk";
+  auto loaded = LoadCorpusOnly(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+}
+
+TEST(CorpusIoTest, OutOfRangeTermIdIsCorruption) {
+  // One document holding the only vocabulary term (id 0); forge its term
+  // id to 7 with valid CRCs, so the DOCS decoder's range check must fire.
+  doc::Corpus corpus;
+  corpus.AddTextDocument("t", "apple");
+  std::string blob = SnapshotOf(corpus);
+  ASSERT_EQ(corpus.analyzer().vocabulary().size(), 1u);
+  const auto [idx, docs] = FindSection(blob, kSectionDocs);
+  // DOCS: num_docs u32, then kind u8, title str, num_terms u32 + terms.
+  const size_t term_pos =
+      docs.offset + 4 + 1 + 4 + corpus.Get(0).title().size() + 4;
+  PutU32(blob, term_pos, 7);
+  FixCrcs(blob, idx, docs.offset, docs.length);
+  auto loaded = LoadCorpusOnly(blob);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  EXPECT_NE(loaded.status().message().find("out of range"), std::string::npos)
+      << loaded.status().ToString();
+}
+
+TEST(CorpusIoTest, SaveLoadFile) {
+  const std::string path = "/tmp/qec_corpus_io_test.qsnap";
+  doc::Corpus original = MakeMixedCorpus();
+  index::InvertedIndex index(original);
+  ASSERT_TRUE(WriteSnapshot(index, path).ok());
+  auto blob = ReadSnapshotBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto loaded = LoadCorpusOnly(*blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameCorpus(original, *loaded);
+  std::remove(path.c_str());
+}
+
+TEST(CorpusIoTest, LoadMissingFileIsNotFound) {
+  auto blob = ReadSnapshotBlob("/tmp/qec_no_such_file_12345.qsnap");
+  ASSERT_FALSE(blob.ok());
+  EXPECT_EQ(blob.status().code(), StatusCode::kNotFound);
+}
+
+TEST(CorpusIoTest, EmptyCorpusRoundTrips) {
+  auto loaded = LoadCorpusOnly(SnapshotOf(doc::Corpus()));
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->NumDocs(), 0u);
+}
+
+// -------------------------------------------------- index half (LoadIndex)
+//
+// LoadIndex decodes INDX over a corpus from LoadCorpus without rescanning
+// documents; these cases load the two halves separately.
+
+/// A corpus and the index loaded over it; both heap-held so the index's
+/// corpus pointer stays valid.
+struct LoadedHalves {
+  std::unique_ptr<doc::Corpus> corpus;
+  std::unique_ptr<index::InvertedIndex> index;
+};
+
+Result<LoadedHalves> LoadHalves(std::string_view blob) {
+  auto reader = SnapshotReader::Open(blob);
+  if (!reader.ok()) return reader.status();
+  auto corpus = reader->LoadCorpus();
+  if (!corpus.ok()) return corpus.status();
+  LoadedHalves halves;
+  halves.corpus = std::make_unique<doc::Corpus>(std::move(*corpus));
+  auto index = reader->LoadIndex(*halves.corpus);
+  if (!index.ok()) return index.status();
+  halves.index = std::make_unique<index::InvertedIndex>(std::move(*index));
+  return halves;
+}
+
+class IndexIoFixture : public ::testing::Test {
+ protected:
+  IndexIoFixture()
+      : corpus_(datagen::ShoppingGenerator().Generate()),
+        index_(corpus_),
+        blob_(SerializeSnapshot(index_)) {}
+
+  doc::Corpus corpus_;
+  index::InvertedIndex index_;
+  std::string blob_;
+};
+
+TEST_F(IndexIoFixture, RoundTripMatchesRebuild) {
+  auto loaded = LoadHalves(blob_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectSameIndex(corpus_, index_, *loaded->index);
+}
+
+TEST_F(IndexIoFixture, LoadedIndexSearchesIdentically) {
+  auto loaded = LoadHalves(blob_);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  for (const char* q : {"canon products", "memory 8gb", "tv plasma"}) {
+    auto a = index_.SearchText(q);
+    auto b = loaded->index->SearchText(q);
+    ASSERT_EQ(a.size(), b.size()) << q;
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].doc, b[i].doc);
+      EXPECT_DOUBLE_EQ(a[i].score, b[i].score);
+    }
+  }
+  // VSM relies on the recomputed document norms.
+  auto terms = corpus_.analyzer().AnalyzeReadOnly("memory");
+  auto va = index_.SearchVsm(terms, 5);
+  auto vb = loaded->index->SearchVsm(terms, 5);
+  ASSERT_EQ(va.size(), vb.size());
+  for (size_t i = 0; i < va.size(); ++i) {
+    EXPECT_EQ(va[i].doc, vb[i].doc);
+    EXPECT_DOUBLE_EQ(va[i].score, vb[i].score);
+  }
+}
+
+TEST_F(IndexIoFixture, BadMagicAndTruncation) {
+  std::string bad = blob_;
+  bad[0] = 'Z';
+  const std::string_view whole(blob_);
+  const std::string appended = blob_ + "x";
+  for (std::string_view data : {std::string_view(bad), whole.substr(0, 4),
+                                whole.substr(0, whole.size() / 2),
+                                std::string_view(appended)}) {
+    auto loaded = LoadHalves(data);
+    ASSERT_FALSE(loaded.ok()) << data.size() << " bytes";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+}
+
+TEST_F(IndexIoFixture, SaveLoadFile) {
+  const std::string path = "/tmp/qec_index_io_test.qsnap";
+  ASSERT_TRUE(WriteSnapshot(index_, path).ok());
+  auto blob = ReadSnapshotBlob(path);
+  ASSERT_TRUE(blob.ok()) << blob.status().ToString();
+  auto loaded = LoadHalves(*blob);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const TermId canon = corpus_.analyzer().vocabulary().Lookup("canon");
+  EXPECT_EQ(loaded->index->DocumentFrequency(canon),
+            index_.DocumentFrequency(canon));
+  std::remove(path.c_str());
+}
+
+TEST_F(IndexIoFixture, MissingFileIsNotFound) {
+  auto blob = ReadSnapshotBlob("/tmp/qec_missing_index_98765.qsnap");
+  ASSERT_FALSE(blob.ok());
+  EXPECT_EQ(blob.status().code(), StatusCode::kNotFound);
+}
+
+TEST(IndexIoFuzzTest, RandomMutationsNeverCrash) {
+  // Mutates INDX alone, re-checksumming after each mutation: the corpus
+  // half still loads, and the index half is Ok or Corruption, never a
+  // crash; an accepted index has every posting in range and sorted.
+  doc::Corpus corpus;
+  corpus.AddTextDocument("a", "one two three");
+  corpus.AddTextDocument("b", "two three four");
+  const std::string blob = SnapshotOf(corpus);
+  const auto [idx, indx] = FindSection(blob, kSectionIndex);
+  Rng rng(77);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string mutated = blob;
+    const size_t flips = 1 + rng.UniformInt(4);
+    for (size_t f = 0; f < flips; ++f) {
+      mutated[indx.offset + rng.UniformInt(indx.length)] =
+          static_cast<char>(rng.UniformInt(256));
+    }
+    FixCrcs(mutated, idx, indx.offset, indx.length);
+    auto reader = SnapshotReader::Open(mutated);
+    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+    auto loaded_corpus = reader->LoadCorpus();
+    ASSERT_TRUE(loaded_corpus.ok()) << loaded_corpus.status().ToString();
+    auto loaded = reader->LoadIndex(*loaded_corpus);  // must not crash
+    if (!loaded.ok()) {
+      EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+      continue;
+    }
+    const size_t vocab = loaded_corpus->analyzer().vocabulary().size();
+    for (TermId t = 0; t < vocab; ++t) {
+      const auto& postings = loaded->Postings(t);
+      for (size_t i = 0; i < postings.size(); ++i) {
+        ASSERT_LT(postings[i].doc, loaded_corpus->NumDocs()) << "term " << t;
+        if (i > 0) {
+          ASSERT_GT(postings[i].doc, postings[i - 1].doc) << "term " << t;
+        }
+      }
+    }
+  }
 }
 
 // ------------------------------------------------------------- determinism
