@@ -1,6 +1,7 @@
 // Microbenchmarks (google-benchmark) for the individual components: index
-// build and search, k-means clustering, result-universe construction, the
-// three expansion algorithms, bitset algebra, and XML parsing.
+// build and search, k-means clustering, result-universe construction,
+// candidate selection, the three expansion algorithms, bitset algebra, and
+// XML parsing.
 //
 // Also hosts the fused-kernel CI gate: `--kernel-gate[=metrics.json]` pins
 // the runtime-dispatched kernel tier, times the fused single-pass
@@ -70,35 +71,67 @@ void BM_IndexBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexBuild);
 
-void BM_SearchTopK(benchmark::State& state) {
-  const auto& bundle = WikiBundle();
-  auto terms = bundle.corpus->analyzer().AnalyzeReadOnly("java");
-  for (auto _ : state) {
-    auto results = bundle.index->Search(terms, 30);
-    benchmark::DoNotOptimize(results);
-  }
-}
-BENCHMARK(BM_SearchTopK);
+/// The clustered datagen corpus the per-request layer benchmarks share.
+/// Background term "w17" retrieves ~360 results, so N = 300 is the
+/// deep-workload size (`topk=0`) and N = 10/30 the interactive one; topic
+/// term "c3t5" retrieves ~940 results, all from one cluster.
+struct ClusteredBench {
+  explicit ClusteredBench(const qec::datagen::ClusteredOptions& options)
+      : corpus(qec::datagen::ClusteredGenerator(options).Generate()),
+        index(corpus) {}
 
-/// Clustering input: the top-N results of one background term of a
-/// clustered datagen corpus, which retrieves ~360 results, so N = 300 is
-/// the deep-workload size (`topk=0`) and N = 10/30 the interactive one.
-void BM_KMeansCluster(benchmark::State& state) {
-  static const auto* corpus = [] {
+  std::vector<qec::TermId> Terms(const char* query) const {
+    return corpus.analyzer().AnalyzeReadOnly(query);
+  }
+
+  qec::doc::Corpus corpus;
+  qec::index::InvertedIndex index;
+};
+
+const ClusteredBench& Clustered() {
+  static const auto* bench = [] {
     qec::datagen::ClusteredOptions options;
     options.num_docs = 25000;
     options.num_clusters = 16;
     options.shared_vocab = 500;
-    return new qec::doc::Corpus(
-        qec::datagen::ClusteredGenerator(options).Generate());
+    return new ClusteredBench(options);
   }();
-  static const auto* index = new qec::index::InvertedIndex(*corpus);
-  auto results = index->Search(corpus->analyzer().AnalyzeReadOnly("w17"),
-                               static_cast<size_t>(state.range(0)));
+  return *bench;
+}
+
+/// Ranked top-N search; the second family ranks a topic term, whose ~940
+/// results make the scoring and top-k selection dominate.
+void BM_SearchTopK(benchmark::State& state) {
+  const ClusteredBench& b = Clustered();
+  const auto terms = b.Terms("w17");
+  for (auto _ : state) {
+    auto results = b.index.Search(terms, static_cast<size_t>(state.range(0)));
+    benchmark::DoNotOptimize(results);
+  }
+}
+BENCHMARK(BM_SearchTopK)->Arg(30)->Arg(300);
+
+void BM_SearchTopKTopicTerm(benchmark::State& state) {
+  const ClusteredBench& b = Clustered();
+  const auto terms = b.Terms("c3t5");
+  for (auto _ : state) {
+    auto results = b.index.Search(terms, static_cast<size_t>(state.range(0)));
+    benchmark::DoNotOptimize(results);
+  }
+  state.counters["matches"] =
+      static_cast<double>(b.index.Search(terms, 0).size());
+}
+BENCHMARK(BM_SearchTopKTopicTerm)->Arg(30);
+
+/// Clustering input: the top-N results of "w17".
+void BM_KMeansCluster(benchmark::State& state) {
+  const ClusteredBench& b = Clustered();
+  auto results =
+      b.index.Search(b.Terms("w17"), static_cast<size_t>(state.range(0)));
   std::vector<qec::cluster::SparseVector> vectors;
   for (const auto& r : results) {
     vectors.push_back(
-        qec::cluster::SparseVector::FromDocument(corpus->Get(r.doc)));
+        qec::cluster::SparseVector::FromDocument(b.corpus.Get(r.doc)));
   }
   // The served configuration: k is an upper bound, chosen by silhouette.
   qec::cluster::KMeansOptions options;
@@ -113,15 +146,29 @@ void BM_KMeansCluster(benchmark::State& state) {
 BENCHMARK(BM_KMeansCluster)->Arg(10)->Arg(30)->Arg(300);
 
 void BM_UniverseBuild(benchmark::State& state) {
-  const auto& bundle = WikiBundle();
-  auto results = bundle.index->Search(
-      bundle.corpus->analyzer().AnalyzeReadOnly("java"), 30);
+  const ClusteredBench& b = Clustered();
+  auto results =
+      b.index.Search(b.Terms("w17"), static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
-    qec::core::ResultUniverse universe(*bundle.corpus, results);
+    qec::core::ResultUniverse universe(b.corpus, results);
     benchmark::DoNotOptimize(universe.size());
   }
+  state.counters["terms"] = static_cast<double>(
+      qec::core::ResultUniverse(b.corpus, results).DistinctTerms().size());
 }
-BENCHMARK(BM_UniverseBuild);
+BENCHMARK(BM_UniverseBuild)->Arg(30)->Arg(300);
+
+void BM_SelectCandidates(benchmark::State& state) {
+  const ClusteredBench& b = Clustered();
+  const auto terms = b.Terms("w17");
+  qec::core::ResultUniverse universe(
+      b.corpus, b.index.Search(terms, static_cast<size_t>(state.range(0))));
+  for (auto _ : state) {
+    auto candidates = qec::core::SelectCandidates(universe, b.index, terms);
+    benchmark::DoNotOptimize(candidates);
+  }
+}
+BENCHMARK(BM_SelectCandidates)->Arg(30)->Arg(300);
 
 struct ExpansionSetup {
   std::unique_ptr<qec::core::ResultUniverse> universe;

@@ -6,9 +6,10 @@
 // prebuilt INDX section pays for itself.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "cluster/doc_reorder.h"
@@ -152,6 +153,26 @@ int RunReorderReport(const std::string& out_path, size_t docs,
   return 0;
 }
 
+/// Parses a positive count; false for anything else (junk, 0, overflow).
+bool ParseCount(std::string_view text, size_t* out) {
+  size_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (ec != std::errc() || end != text.data() + text.size() || value == 0) {
+    return false;
+  }
+  *out = value;
+  return true;
+}
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: bench_snapshot_io [--reorder-report[=FILE] "
+               "[--docs=N] [--clusters=N]]\n"
+               "  N must be a positive integer\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -166,9 +187,11 @@ int main(int argc, char** argv) {
       const size_t eq = arg.find('=');
       if (eq != std::string::npos) reorder_out = arg.substr(eq + 1);
     } else if (arg.rfind("--docs=", 0) == 0) {
-      docs = static_cast<size_t>(std::atoll(arg.c_str() + 7));
+      if (!ParseCount(std::string_view(arg).substr(7), &docs)) return Usage();
     } else if (arg.rfind("--clusters=", 0) == 0) {
-      clusters = static_cast<size_t>(std::atoll(arg.c_str() + 11));
+      if (!ParseCount(std::string_view(arg).substr(11), &clusters)) {
+        return Usage();
+      }
     }
   }
   if (reorder_mode) return RunReorderReport(reorder_out, docs, clusters);

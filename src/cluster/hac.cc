@@ -162,9 +162,13 @@ Clustering Hac::Cluster(const PointSet& points, double* silhouette) const {
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen) {
+  return SelectBestClustering(PointSet(points), k_max, seed, chosen);
+}
+
+Clustering SelectBestClustering(const PointSet& point_set, size_t k_max,
+                                uint64_t seed, ClusteringMethod* chosen) {
   // Both methods share one point set, and each reports the silhouette of
   // its own pick, so the two finals need no further silhouette pass.
-  const PointSet point_set(points);
   KMeansOptions kopts;
   kopts.k = k_max;
   kopts.seed = seed;

@@ -51,6 +51,9 @@ enum class ClusteringMethod { kKMeans, kHac };
 /// clustering method dynamically"): runs every method with `k_max` as the
 /// bound and returns the clustering with the highest mean silhouette.
 /// `chosen` (optional out) reports which method won.
+Clustering SelectBestClustering(const PointSet& points, size_t k_max,
+                                uint64_t seed,
+                                ClusteringMethod* chosen = nullptr);
 Clustering SelectBestClustering(const std::vector<SparseVector>& points,
                                 size_t k_max, uint64_t seed,
                                 ClusteringMethod* chosen = nullptr);

@@ -1,6 +1,7 @@
 #include "cluster/point_set.h"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
 
 #include "common/logging.h"
@@ -29,43 +30,83 @@ std::vector<uint32_t> OrderByTerm(const std::vector<TermId>& terms) {
   return order;
 }
 
+TermTable TableOf(const std::vector<SparseVector>& vectors) {
+  std::vector<TermId> terms;
+  std::vector<uint32_t> points;
+  std::vector<double> weights;
+  for (size_t i = 0; i < vectors.size(); ++i) {
+    for (const auto& [t, w] : vectors[i].entries()) {
+      terms.push_back(t);
+      points.push_back(static_cast<uint32_t>(i));
+      weights.push_back(w);
+    }
+  }
+  return TermTable::FromRows(vectors.size(), std::move(terms),
+                             std::move(points), std::move(weights));
+}
+
 }  // namespace
 
-PointSet::PointSet(const std::vector<SparseVector>& points) {
-  std::vector<TermId> terms;
-  std::vector<uint32_t> point_of;
-  norms_.reserve(points.size());
-  row_offsets_.reserve(points.size() + 1);
-  row_offsets_.push_back(0);
-  for (const SparseVector& p : points) {
-    norms_.push_back(p.Norm());
-    for (const auto& [t, w] : p.entries()) {
-      terms.push_back(t);
-      weights_.push_back(w);
-      point_of.push_back(static_cast<uint32_t>(norms_.size() - 1));
-    }
-    QEC_CHECK_LE(terms.size(), size_t{UINT32_MAX});
-    row_offsets_.push_back(static_cast<uint32_t>(terms.size()));
-  }
-
+TermTable TermTable::FromRows(size_t num_points, std::vector<TermId> terms,
+                              std::vector<uint32_t> points,
+                              std::vector<double> weights) {
+  QEC_CHECK_EQ(points.size(), terms.size());
+  QEC_CHECK_EQ(weights.size(), terms.size());
+  QEC_CHECK_LE(terms.size(), size_t{UINT32_MAX});
+  TermTable table;
+  table.num_points = num_points;
   // Walking the entries in term order numbers the local ids monotonically
-  // (each row stays sorted) and lays out every column in point order.
-  ids_.resize(terms.size());
-  column_offsets_.push_back(0);
-  column_points_.reserve(terms.size());
-  column_weights_.reserve(terms.size());
+  // and, the sort being stable, lays out every column in point order.
   const std::vector<uint32_t> order = OrderByTerm(terms);
+  table.points.resize(order.size());
+  table.weights.resize(order.size());
   for (size_t k = 0; k < order.size(); ++k) {
     const uint32_t e = order[k];
-    if (k > 0 && terms[e] != terms[order[k - 1]]) {
-      column_offsets_.push_back(static_cast<uint32_t>(k));
+    if (k == 0 || terms[e] != table.terms.back()) {
+      if (k > 0) table.offsets.push_back(static_cast<uint32_t>(k));
+      table.terms.push_back(terms[e]);
     }
-    ids_[e] = static_cast<uint32_t>(column_offsets_.size() - 1);
-    column_points_.push_back(point_of[e]);
-    column_weights_.push_back(weights_[e]);
+    table.points[k] = points[e];
+    table.weights[k] = weights[e];
   }
   if (!order.empty()) {
-    column_offsets_.push_back(static_cast<uint32_t>(order.size()));
+    table.offsets.push_back(static_cast<uint32_t>(order.size()));
+  }
+  return table;
+}
+
+PointSet::PointSet(const std::vector<SparseVector>& points)
+    : PointSet(TableOf(points)) {}
+
+PointSet::PointSet(const TermTable& table)
+    : column_offsets_(table.offsets),
+      column_points_(table.points),
+      column_weights_(table.weights) {
+  // Rows: scattering the columns in local id order leaves every row's
+  // entries in increasing term order.
+  const size_t n = table.num_points;
+  row_offsets_.assign(n + 1, 0);
+  for (uint32_t p : table.points) ++row_offsets_[p + 1];
+  std::partial_sum(row_offsets_.begin(), row_offsets_.end(),
+                   row_offsets_.begin());
+  std::vector<uint32_t> cursor(row_offsets_.begin(), row_offsets_.end() - 1);
+  ids_.resize(table.num_entries());
+  weights_.resize(table.num_entries());
+  for (uint32_t t = 0; t < table.num_terms(); ++t) {
+    for (uint32_t c = table.offsets[t]; c < table.offsets[t + 1]; ++c) {
+      const uint32_t slot = cursor[table.points[c]]++;
+      ids_[slot] = t;
+      weights_[slot] = table.weights[c];
+    }
+  }
+  // Summed in term order, as SparseVector::Norm does.
+  norms_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    double sq = 0.0;
+    for (uint32_t e = row_offsets_[i]; e < row_offsets_[i + 1]; ++e) {
+      sq += weights_[e] * weights_[e];
+    }
+    norms_[i] = std::sqrt(sq);
   }
 }
 

@@ -6,15 +6,43 @@
 #include <vector>
 
 #include "cluster/sparse_vector.h"
+#include "common/types.h"
 
 namespace qec::cluster {
 
-/// The points of one clustering request, built once from their
-/// SparseVectors and shared by k-means, HAC and the silhouette.
+/// Weighted (point, term) entries grouped by term: the sorted term table of
+/// one request. core::ResultUniverse builds it once from its results and
+/// reads term containment, tf and df from it; PointSet is built from it.
+/// Terms get dense local ids in increasing TermId order, and each column
+/// lists its entries in point order.
+struct TermTable {
+  size_t num_points = 0;
+  /// The distinct terms, ascending: local id t is terms[t].
+  std::vector<TermId> terms;
+  /// Column t holds entries [offsets[t], offsets[t + 1]); terms.size() + 1
+  /// values.
+  std::vector<uint32_t> offsets = {0};
+  /// Point of each entry; ascending within a column.
+  std::vector<uint32_t> points;
+  std::vector<double> weights;
+
+  size_t num_terms() const { return terms.size(); }
+  size_t num_entries() const { return points.size(); }
+
+  /// Groups entries given point by point (`points` non-decreasing; the
+  /// three vectors are parallel) by term, with a stable radix sort on the
+  /// term. A point must not name a term twice.
+  static TermTable FromRows(size_t num_points, std::vector<TermId> terms,
+                            std::vector<uint32_t> points,
+                            std::vector<double> weights);
+};
+
+/// The points of one clustering request, built once from their term table
+/// and shared by k-means, HAC and the silhouette.
 ///
-/// Terms are renumbered to dense result-local ids in increasing TermId
-/// order, so every row keeps its sorted order, and each row's norm is
-/// computed once. Two layouts serve the two kinds of distance:
+/// Points address terms by the table's local ids, so every row keeps its
+/// sorted term order, and each row's norm is computed once. Two layouts
+/// serve the two kinds of distance:
 ///   - Rows (point -> entries). A vector over the local ids fits a plain
 ///     `double` array of dim() entries; k-means centroids live in such
 ///     arrays, and a point's distance to one is a gather over the point's
@@ -27,12 +55,15 @@ namespace qec::cluster {
 /// Exactness: both compute the same products, summed in the same term
 /// order, as the merge-walk dot product of two sorted sparse vectors, and
 /// divide by the same product of norms, so distances are bit-identical to
-/// 1 - cosine over the SparseVectors. The gather also visits the row's
-/// terms the dense side lacks, but each adds an exact ±0.0 to a sum that
-/// is never -0.0 (weights are finite and never -0.0, as SparseVector
-/// guarantees).
+/// 1 - cosine over the points' SparseVectors. The gather also visits the
+/// row's terms the dense side lacks, but each adds an exact ±0.0 to a sum
+/// that is never -0.0 (weights are finite and never -0.0: term frequencies,
+/// or entries of a SparseVector, which drops zeros).
 class PointSet {
  public:
+  explicit PointSet(const TermTable& table);
+
+  /// The TermTable of the vectors' entries, then the constructor above.
   explicit PointSet(const std::vector<SparseVector>& points);
 
   size_t size() const { return norms_.size(); }

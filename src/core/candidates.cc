@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 
 namespace qec::core {
 
@@ -10,31 +9,41 @@ std::vector<TermId> SelectCandidates(const ResultUniverse& universe,
                                      const index::InvertedIndex& index,
                                      const std::vector<TermId>& user_query,
                                      const CandidateOptions& options) {
-  std::unordered_set<TermId> excluded(user_query.begin(), user_query.end());
   struct Scored {
     TermId term;
     double score;
   };
   std::vector<Scored> scored;
+  const std::vector<TermId>& terms = universe.DistinctTerms();
+  scored.reserve(terms.size());
   const size_t n = universe.size();
-  for (TermId t : universe.DistinctTerms()) {
-    if (excluded.count(t) != 0) continue;
-    if (options.drop_universal_terms && universe.DocsWithTerm(t).Count() == n) {
+  for (size_t local = 0; local < terms.size(); ++local) {
+    const TermId t = terms[local];
+    if (std::find(user_query.begin(), user_query.end(), t) !=
+        user_query.end()) {
+      continue;
+    }
+    if (options.drop_universal_terms &&
+        universe.LocalDocumentFrequency(local) == n) {
       continue;
     }
     double tfidf =
-        static_cast<double>(universe.TotalTermFrequency(t)) * index.Idf(t);
+        static_cast<double>(universe.LocalTermFrequency(local)) * index.Idf(t);
     scored.push_back(Scored{t, tfidf});
   }
-  std::sort(scored.begin(), scored.end(), [](const Scored& a, const Scored& b) {
-    if (a.score != b.score) return a.score > b.score;
-    return a.term < b.term;
-  });
 
   size_t keep = static_cast<size_t>(
       std::ceil(options.fraction * static_cast<double>(scored.size())));
   keep = std::min(keep, scored.size());
   if (options.max_candidates > 0) keep = std::min(keep, options.max_candidates);
+
+  // Terms are distinct, so (score desc, term asc) is a strict total order:
+  // the sorted prefix is the same as a full sort's.
+  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
+                    [](const Scored& a, const Scored& b) {
+                      if (a.score != b.score) return a.score > b.score;
+                      return a.term < b.term;
+                    });
 
   std::vector<TermId> out;
   out.reserve(keep);

@@ -19,6 +19,10 @@ ExpansionContext MakeContext(const ResultUniverse& universe,
   ctx.others.AndNot(cluster);
   ctx.cluster = std::move(cluster);
   ctx.candidates = std::move(candidates);
+  ctx.candidate_docs.reserve(ctx.candidates.size());
+  for (TermId k : ctx.candidates) {
+    ctx.candidate_docs.push_back(&universe.DocsWithTerm(k));
+  }
   return ctx;
 }
 

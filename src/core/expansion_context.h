@@ -22,11 +22,17 @@ struct ExpansionContext {
   /// U: results not in C (typically the complement of `cluster` within the
   /// universe, but callers may restrict it).
   DynamicBitset others;
-  /// Keywords the algorithms may add to the query.
+  /// Keywords the algorithms may add to the query, each at most once (as
+  /// SelectCandidates returns them).
   std::vector<TermId> candidates;
+  /// D(k) of each candidate (universe->DocsWithTerm), parallel to
+  /// `candidates`: resolved once here, so the per-candidate sweeps index
+  /// an array instead of looking terms up per evaluation.
+  std::vector<const DynamicBitset*> candidate_docs;
 };
 
-/// Builds a context where U is the complement of C in the universe.
+/// Builds a context where U is the complement of C in the universe, and
+/// resolves every candidate's D(k).
 ExpansionContext MakeContext(const ResultUniverse& universe,
                              std::vector<TermId> user_query,
                              DynamicBitset cluster,

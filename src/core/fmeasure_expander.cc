@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
@@ -19,12 +18,15 @@ FMeasureExpander::FMeasureExpander(FMeasureOptions options, SweepOptions sweep)
 ExpansionResult FMeasureExpander::Expand(
     const ExpansionContext& context) const {
   QEC_CHECK(context.universe != nullptr);
+  QEC_CHECK_EQ(context.candidate_docs.size(), context.candidates.size());
   const ResultUniverse& universe = *context.universe;
 
   common::SmallVector<TermId, 16> query;
   query.assign(context.user_query.begin(), context.user_query.end());
-  std::unordered_set<TermId> user_terms(context.user_query.begin(),
-                                        context.user_query.end());
+  // Queries are a handful of terms: membership is a linear scan.
+  auto contains = [](const auto& terms, TermId k) {
+    return std::find(terms.begin(), terms.end(), k) != terms.end();
+  };
   // All working sets are arena leases: repeated expansions over one
   // universe run allocation-free once the arena is warm.
   auto retrieved = universe.AcquireScratch();
@@ -44,6 +46,7 @@ ExpansionResult FMeasureExpander::Expand(
 
   while (iterations < options_.max_iterations) {
     TermId best = kInvalidTermId;
+    size_t best_index = 0;  // candidate index of an addition
     bool best_is_removal = false;
     double best_f = current_f;
     *best_retrieved = *retrieved;
@@ -57,7 +60,6 @@ ExpansionResult FMeasureExpander::Expand(
     // candidate sweep, so it is retrieved once and each candidate costs a
     // single AND.
     universe.RetrieveInto(query, &*base);
-    std::unordered_set<TermId> in_query(query.begin(), query.end());
     const size_t n = context.candidates.size();
     candidate_f.assign(n, -1.0);
     evaluated.assign(n, 0);
@@ -65,10 +67,10 @@ ExpansionResult FMeasureExpander::Expand(
     if (threads <= 1) {
       for (size_t i = 0; i < n; ++i) {
         TermId k = context.candidates[i];
-        if (in_query.count(k) != 0) continue;
+        if (contains(query, k)) continue;
         evaluated[i] = 1;
         *r = *base;
-        *r &= universe.DocsWithTerm(k);
+        *r &= *context.candidate_docs[i];
         candidate_f[i] =
             EvaluateQuery(universe, *r, context.cluster).f_measure;
       }
@@ -82,10 +84,10 @@ ExpansionResult FMeasureExpander::Expand(
         auto rt = universe.AcquireScratch();
         for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
           TermId k = context.candidates[i];
-          if (in_query.count(k) != 0) continue;
+          if (contains(query, k)) continue;
           evaluated[i] = 1;
           *rt = *base;
-          *rt &= universe.DocsWithTerm(k);
+          *rt &= *context.candidate_docs[i];
           candidate_f[i] =
               EvaluateQuery(universe, *rt, context.cluster).f_measure;
         }
@@ -100,17 +102,18 @@ ExpansionResult FMeasureExpander::Expand(
                          !best_is_removal)) {
         best_f = f;
         best = k;
+        best_index = i;
         best_is_removal = false;
       }
     }
     if (best != kInvalidTermId && !best_is_removal) {
       *best_retrieved = *base;
-      *best_retrieved &= universe.DocsWithTerm(best);
+      *best_retrieved &= *context.candidate_docs[best_index];
     }
     if (options_.allow_removal) {
       // Removals: every previously added keyword.
       for (TermId k : query) {
-        if (user_terms.count(k) != 0) continue;
+        if (contains(context.user_query, k)) continue;
         ++recomputations;
         universe.RetrieveWithoutInto(query, k, &*r);
         double f = EvaluateQuery(universe, *r, context.cluster).f_measure;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <unordered_map>
 #include <vector>
 
 #include "common/logging.h"
@@ -39,6 +38,11 @@ struct Entry {
 /// benefit/cost (re)computation performs zero heap allocations, and the
 /// few long-lived buffers are leased from the universe's scratch arena so
 /// repeated expansions over one universe stop allocating entirely.
+///
+/// Entries live in arrays indexed like the context's (distinct)
+/// candidates, and each candidate's D(k) comes from the context, so no
+/// evaluation looks a term up. A candidate holds an addition entry while it
+/// is outside the query and a removal entry while it is in it.
 class IskrState {
  public:
   IskrState(const ExpansionContext& ctx, const IskrOptions& options,
@@ -52,6 +56,7 @@ class IskrState {
         without_(ctx.universe->AcquireScratch()),
         cluster_range_(ctx.cluster.NonzeroWordRange()),
         others_range_(ctx.others.NonzeroWordRange()) {
+    QEC_CHECK_EQ(ctx.candidate_docs.size(), ctx.candidates.size());
     query_.assign(ctx.user_query.begin(), ctx.user_query.end());
     ctx_.universe->RetrieveInto(query_, &*retrieved_);
     RefreshScanRanges();
@@ -61,23 +66,21 @@ class IskrState {
   ExpansionResult Run() {
     while (iterations_ < options_.max_iterations) {
       QEC_TRACE_SPAN("iskr/refine_step");
-      auto [term, is_removal, value] = BestMove();
+      auto [index, is_removal, value] = BestMove();
       if (value <= 1.0) break;
       ++iterations_;
       IskrStep step;
-      step.keyword = term;
+      step.keyword = ctx_.candidates[index];
       step.is_removal = is_removal;
       step.value = value;
-      const Entry& entry =
-          is_removal ? remove_entries_.at(term) : add_entries_.at(term);
-      step.benefit = entry.benefit;
-      step.cost = entry.cost;
+      step.benefit = entries_[index].benefit;
+      step.cost = entries_[index].cost;
       if (is_removal) {
         ++removals_;
-        ApplyRemoval(term);
+        ApplyRemoval(index);
       } else {
         ++additions_;
-        ApplyAddition(term);
+        ApplyAddition(index);
       }
       if (trace_ != nullptr) {
         step.f_measure_after =
@@ -103,32 +106,31 @@ class IskrState {
   }
 
  private:
+  /// What a candidate's entry currently means; kNone only while a step
+  /// refreshes the other entries around the candidate it moves.
+  enum class Role : uint8_t { kAdd, kRemove, kNone };
+
   // Initial benefit/cost evaluation of every candidate. Candidates are
   // independent, so the sweep fans out over SweepOptions::threads pool
-  // workers; each entry is computed whole by one thread and merged in
-  // candidate-index order, keeping results byte-identical to the serial
-  // sweep.
+  // workers; each entry is computed whole by one thread into its own
+  // slot, keeping results byte-identical to the serial sweep.
   void SweepCandidates() {
     const size_t n = ctx_.candidates.size();
+    entries_.resize(n);
+    roles_.assign(n, Role::kAdd);
     const size_t threads = ResolveThreadCount(sweep_.threads, n);
     if (threads <= 1) {
-      for (TermId k : ctx_.candidates) {
-        add_entries_.emplace(k, ComputeAddEntry(k));
-      }
+      for (size_t i = 0; i < n; ++i) entries_[i] = ComputeAddEntry(i);
     } else {
       QEC_TRACE_SPAN("iskr/parallel_sweep");
       QEC_COUNTER_INC("iskr/parallel_sweeps");
-      entry_scratch_.resize(n);
-      Entry* entries = entry_scratch_.data();
+      Entry* entries = entries_.data();
       std::atomic<size_t> next{0};
       common::SweepPool::Instance().Run(threads, [&] {
         for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          entries[i] = ComputeAddEntry(ctx_.candidates[i]);
+          entries[i] = ComputeAddEntry(i);
         }
       });
-      for (size_t i = 0; i < n; ++i) {
-        add_entries_.emplace(ctx_.candidates[i], entries[i]);
-      }
     }
     recomputations_ += n;
   }
@@ -150,8 +152,8 @@ class IskrState {
   // loop-invariant |R(q) ∩ C| comparison is subsumed by the early-exit
   // three-way Intersects (the addition kills the cluster exactly when
   // R(q) ∩ C ∩ D(k) is empty with positive cost). Thread-safe: reads only.
-  Entry ComputeAddEntry(TermId k) const {
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
+  Entry ComputeAddEntry(size_t i) const {
+    const DynamicBitset& docs_k = *ctx_.candidate_docs[i];
     Entry e{ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others,
                                              others_scan_),
             ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster,
@@ -166,8 +168,8 @@ class IskrState {
   // Removal: D(k) = R(q\k) \ R(q); benefit = S(C ∩ D), cost = S(U ∩ D).
   // The delta lies outside R(q), so only the positively-ANDed C/U operand
   // bounds the scan here.
-  Entry ComputeRemoveEntry(TermId k) {
-    ctx_.universe->RetrieveWithoutInto(query_, k, &*without_);
+  Entry ComputeRemoveEntry(size_t i) {
+    ctx_.universe->RetrieveWithoutInto(query_, ctx_.candidates[i], &*without_);
     return Entry{
         ctx_.universe->WeightOfAndNotAnd(*without_, *retrieved_, ctx_.cluster,
                                          cluster_range_),
@@ -175,53 +177,57 @@ class IskrState {
                                          others_range_)};
   }
 
-  // (term, is_removal, value) of the best refinement step.
-  std::tuple<TermId, bool, double> BestMove() const {
+  // (candidate index, is_removal, value) of the best refinement step: the
+  // highest value, ties to the smallest term, so the scan order is free.
+  std::tuple<size_t, bool, double> BestMove() const {
+    size_t best = 0;
     TermId best_term = kInvalidTermId;
     bool best_removal = false;
     double best_value = 0.0;
-    auto consider = [&](TermId term, bool removal, const Entry& e) {
-      double v = e.value();
+    for (size_t i = 0; i < entries_.size(); ++i) {
+      const bool removal = roles_[i] == Role::kRemove;
+      if (removal && !options_.allow_removal) continue;
+      const TermId term = ctx_.candidates[i];
+      const double v = entries_[i].value();
       if (v > best_value ||
           (v == best_value && best_term != kInvalidTermId &&
            term < best_term)) {
+        best = i;
         best_value = v;
         best_term = term;
         best_removal = removal;
       }
-    };
-    for (const auto& [k, e] : add_entries_) consider(k, false, e);
-    if (options_.allow_removal) {
-      for (const auto& [k, e] : remove_entries_) consider(k, true, e);
     }
-    return {best_term, best_removal, best_value};
+    return {best, best_removal, best_value};
   }
 
-  void ApplyAddition(TermId k) {
+  void ApplyAddition(size_t i) {
     // Delta results: eliminated from R(q) by adding k.
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
     *delta_ = *retrieved_;
-    delta_->AndNot(docs_k);
+    delta_->AndNot(*ctx_.candidate_docs[i]);
     retrieved_->AndNot(*delta_);
     RefreshScanRanges();
-    query_.push_back(k);
-    add_entries_.erase(k);
+    query_.push_back(ctx_.candidates[i]);
+    roles_[i] = Role::kNone;
     RefreshAffected(*delta_);
     // The new member's removal entry is always fresh.
-    remove_entries_[k] = ComputeRemoveEntry(k);
+    roles_[i] = Role::kRemove;
+    entries_[i] = ComputeRemoveEntry(i);
     ++recomputations_;
   }
 
-  void ApplyRemoval(TermId k) {
+  void ApplyRemoval(size_t i) {
+    const TermId k = ctx_.candidates[i];
     ctx_.universe->RetrieveWithoutInto(query_, k, &*without_);
     *delta_ = *without_;
     delta_->AndNot(*retrieved_);
     *retrieved_ = *without_;
     RefreshScanRanges();
     query_.erase(std::find(query_.begin(), query_.end(), k));
-    remove_entries_.erase(k);
+    roles_[i] = Role::kNone;
     RefreshAffected(*delta_);
-    add_entries_[k] = ComputeAddEntry(k);
+    roles_[i] = Role::kAdd;
+    entries_[i] = ComputeAddEntry(i);
     ++recomputations_;
   }
 
@@ -241,30 +247,30 @@ class IskrState {
   // loop. The removal refresh shares the without_ scratch and therefore
   // stays serial; it touches at most |q| entries anyway.
   void RefreshAffected(const DynamicBitset& delta) {
+    const size_t n = entries_.size();
     if (!delta.None()) {
-      const size_t threads =
-          ResolveThreadCount(sweep_.threads, add_entries_.size());
+      addable_.clear();
+      for (size_t i = 0; i < n; ++i) {
+        if (roles_[i] == Role::kAdd) addable_.push_back(i);
+      }
+      const size_t threads = ResolveThreadCount(sweep_.threads, addable_.size());
       if (threads <= 1) {
-        for (auto& [k, e] : add_entries_) {
-          if (!delta.IsSubsetOf(ctx_.universe->DocsWithTerm(k))) {
-            e = ComputeAddEntry(k);
+        for (size_t i : addable_) {
+          if (!delta.IsSubsetOf(*ctx_.candidate_docs[i])) {
+            entries_[i] = ComputeAddEntry(i);
             ++recomputations_;
           }
         }
       } else {
-        slot_scratch_.clear();
-        slot_scratch_.reserve(add_entries_.size());
-        for (auto& [k, e] : add_entries_) slot_scratch_.emplace_back(k, &e);
-        auto& slots = slot_scratch_;
         std::atomic<size_t> next{0};
         std::atomic<size_t> refreshed{0};
         common::SweepPool::Instance().Run(threads, [&] {
           size_t local = 0;
-          for (size_t i = next.fetch_add(1); i < slots.size();
-               i = next.fetch_add(1)) {
-            const TermId k = slots[i].first;
-            if (!delta.IsSubsetOf(ctx_.universe->DocsWithTerm(k))) {
-              *slots[i].second = ComputeAddEntry(k);
+          for (size_t j = next.fetch_add(1); j < addable_.size();
+               j = next.fetch_add(1)) {
+            const size_t i = addable_[j];
+            if (!delta.IsSubsetOf(*ctx_.candidate_docs[i])) {
+              entries_[i] = ComputeAddEntry(i);
               ++local;
             }
           }
@@ -273,8 +279,9 @@ class IskrState {
         recomputations_ += refreshed.load();
       }
     }
-    for (auto& [k, e] : remove_entries_) {
-      e = ComputeRemoveEntry(k);
+    for (size_t i = 0; i < n; ++i) {
+      if (roles_[i] != Role::kRemove) continue;
+      entries_[i] = ComputeRemoveEntry(i);
       ++recomputations_;
     }
   }
@@ -295,14 +302,11 @@ class IskrState {
   WordRange others_range_;
   WordRange cluster_scan_;
   WordRange others_scan_;
-  std::unordered_map<TermId, Entry> add_entries_;
-  std::unordered_map<TermId, Entry> remove_entries_;
-  /// Per-sweep merge scratch, reused across sweeps of one expansion: the
-  /// scatter target of the initial sweep and the slot list of the
-  /// incremental refresh. Inline up to 64 entries, so small candidate
-  /// sets never touch the heap.
-  common::SmallVector<Entry, 64> entry_scratch_;
-  common::SmallVector<std::pair<TermId, Entry*>, 64> slot_scratch_;
+  /// Indexed like ctx_.candidates.
+  std::vector<Entry> entries_;
+  std::vector<Role> roles_;
+  /// Refresh scratch: the candidates holding addition entries.
+  std::vector<size_t> addable_;
   size_t iterations_ = 0;
   size_t recomputations_ = 0;
   size_t additions_ = 0;

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 #include <vector>
 
 #include "common/logging.h"
@@ -53,8 +52,6 @@ class SampleBuilder {
   PebcSample Build(double target_percent, PebcStrategy strategy) {
     QEC_TRACE_SPAN("pebc/build_sample");
     query_.assign(ctx_.user_query.begin(), ctx_.user_query.end());
-    in_query_.clear();
-    in_query_.insert(query_.begin(), query_.end());
     ctx_.universe->RetrieveInto(query_, &*retrieved_);
     SyncRetrievedDerived();
     const double target =
@@ -103,8 +100,7 @@ class SampleBuilder {
 
   // benefit = S(R ∩ U ∩ E(k)), cost = S(R ∩ C ∩ E(k)). Thread-safe: reads
   // only; callers account the evaluation in their CandidateEntry.
-  std::pair<double, double> BenefitCost(TermId k) const {
-    const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
+  std::pair<double, double> BenefitCost(const DynamicBitset& docs_k) const {
     return {ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.others,
                                              others_scan_),
             ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k, ctx_.cluster,
@@ -114,15 +110,17 @@ class SampleBuilder {
   // True when adding k would eliminate every cluster result still
   // retrieved. Sample queries maximize retained C for a given elimination
   // level, so such keywords are never selected (recall would hit 0).
-  bool KillsCluster(TermId k) const {
+  bool KillsCluster(const DynamicBitset& docs_k) const {
     if (!retrieved_c_any_) return false;
-    return !retrieved_->Intersects(ctx_.universe->DocsWithTerm(k),
-                                   ctx_.cluster, cluster_scan_);
+    return !retrieved_->Intersects(docs_k, ctx_.cluster, cluster_scan_);
   }
 
-  size_t NumEliminatedBy(TermId k) const {
-    return retrieved_->AndNotCount(ctx_.universe->DocsWithTerm(k),
-                                   retrieved_range_);
+  size_t NumEliminatedBy(const DynamicBitset& docs_k) const {
+    return retrieved_->AndNotCount(docs_k, retrieved_range_);
+  }
+
+  bool InQuery(TermId k) const {
+    return std::find(query_.begin(), query_.end(), k) != query_.end();
   }
 
   // One candidate's sweep outcome. `eligible` is false for candidates a
@@ -139,7 +137,7 @@ class SampleBuilder {
   using EntryBuffer = common::SmallVector<CandidateEntry, 64>;
 
   // Scatter-gather over the candidate list: evaluates `eval` (a pure
-  // function of one candidate) on work-stealing SweepPool workers and
+  // function of one candidate index) on work-stealing SweepPool workers and
   // merges the entries in candidate-index order — the shared SweepOptions
   // machinery, so any thread count is byte-identical to the serial loop.
   template <typename Eval>
@@ -149,29 +147,27 @@ class SampleBuilder {
     out->resize(n, CandidateEntry{});
     const size_t threads = ResolveThreadCount(sweep_.threads, n);
     if (threads <= 1) {
-      for (size_t i = 0; i < n; ++i) (*out)[i] = eval(ctx_.candidates[i]);
+      for (size_t i = 0; i < n; ++i) (*out)[i] = eval(i);
     } else {
       QEC_COUNTER_INC("pebc/parallel_sweeps");
       CandidateEntry* entries = out->data();
       std::atomic<size_t> next{0};
       common::SweepPool::Instance().Run(threads, [&] {
         for (size_t i = next.fetch_add(1); i < n; i = next.fetch_add(1)) {
-          entries[i] = eval(ctx_.candidates[i]);
+          entries[i] = eval(i);
         }
       });
     }
     for (const CandidateEntry& e : *out) *recomputations_ += e.evals;
   }
 
-  void ApplyKeyword(TermId k) {
-    query_.push_back(k);
-    *retrieved_ &= ctx_.universe->DocsWithTerm(k);
-    in_query_.insert(k);
+  void ApplyKeyword(size_t i) {
+    query_.push_back(ctx_.candidates[i]);
+    *retrieved_ &= *ctx_.candidate_docs[i];
     SyncRetrievedDerived();
   }
 
   void UndoLastKeyword() {
-    in_query_.erase(query_.back());
     query_.pop_back();
     *retrieved_ = *saved_;
     SyncRetrievedDerived();
@@ -193,9 +189,10 @@ class SampleBuilder {
 
   // Serial argmax over swept entries in candidate-index order, with the
   // value-then-fewest-eliminated tiebreak shared by the fixed-order and
-  // single-result strategies.
-  TermId SelectBestByValueThenElim(const EntryBuffer& entries) const {
-    TermId best = kInvalidTermId;
+  // single-result strategies. Returns the candidate index, or kNone.
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+  size_t SelectBestByValueThenElim(const EntryBuffer& entries) const {
+    size_t best = kNone;
     double best_value = -1.0;
     size_t best_elim = 0;
     for (size_t i = 0; i < entries.size(); ++i) {
@@ -204,7 +201,7 @@ class SampleBuilder {
       if (e.value > best_value ||
           (e.value == best_value && e.eliminated < best_elim)) {
         best_value = e.value;
-        best = ctx_.candidates[i];
+        best = i;
         best_elim = e.eliminated;
       }
     }
@@ -215,21 +212,22 @@ class SampleBuilder {
     if (EliminatedWeight() >= target) return;
     for (;;) {
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
-            auto [b, c] = BenefitCost(k);
+            if (InQuery(ctx_.candidates[i])) return e;
+            const DynamicBitset& docs_k = *ctx_.candidate_docs[i];
+            auto [b, c] = BenefitCost(docs_k);
             e.evals = 1;
             if (b <= 0.0) return e;  // must eliminate something in U
-            if (KillsCluster(k)) return e;
+            if (KillsCluster(docs_k)) return e;
             e.value = ValueOf(b, c);
-            e.eliminated = NumEliminatedBy(k);
+            e.eliminated = NumEliminatedBy(docs_k);
             e.eligible = true;
             return e;
           },
           &entries_buf_);
-      TermId best = SelectBestByValueThenElim(entries_buf_);
-      if (best == kInvalidTermId) return;
+      const size_t best = SelectBestByValueThenElim(entries_buf_);
+      if (best == kNone) return;
       const double before_weight = EliminatedWeight();
       *saved_ = *retrieved_;
       ApplyKeyword(best);
@@ -265,18 +263,18 @@ class SampleBuilder {
       const WordRange sel_scan =
           WordRange::Intersect(retrieved_range_, sel_range);
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
+            if (InQuery(ctx_.candidates[i])) return e;
             e.evals = 1;
-            const DynamicBitset& docs_k = ctx_.universe->DocsWithTerm(k);
+            const DynamicBitset& docs_k = *ctx_.candidate_docs[i];
             // Eliminated results E = R ∩ ~docs_k, split three ways in
             // fused passes: selected (benefit), cluster and unselected-U
             // (cost).
             double b = ctx_.universe->WeightOfAndNotAnd(*retrieved_, docs_k,
                                                         *selected_, sel_scan);
             if (b <= 0.0) return e;
-            if (KillsCluster(k)) return e;
+            if (KillsCluster(docs_k)) return e;
             double c = ctx_.universe->WeightOfAndNotAnd(
                            *retrieved_, docs_k, ctx_.cluster, cluster_scan_) +
                        ctx_.universe->WeightWhereInRange(
@@ -291,16 +289,16 @@ class SampleBuilder {
           &entries_buf_);
       // Value-only tiebreak (first candidate in index order wins ties),
       // exactly the serial loop's rule.
-      TermId best = kInvalidTermId;
+      size_t best = kNone;
       double best_value = -1.0;
       for (size_t i = 0; i < entries_buf_.size(); ++i) {
         if (!entries_buf_[i].eligible) continue;
         if (entries_buf_[i].value > best_value) {
           best_value = entries_buf_[i].value;
-          best = ctx_.candidates[i];
+          best = i;
         }
       }
-      if (best == kInvalidTermId) return;
+      if (best == kNone) return;
       const double before_weight = EliminatedWeight();
       *saved_ = *retrieved_;
       ApplyKeyword(best);
@@ -327,26 +325,25 @@ class SampleBuilder {
           *retrieved_, ctx_.others, *blocked_);
       if (indices_buf_.empty()) return;
       size_t r = indices_buf_[rng_.UniformInt(indices_buf_.size())];
-      const doc::Document& rdoc =
-          ctx_.universe->corpus().Get(ctx_.universe->doc_at(r));
       // Best benefit/cost keyword that eliminates r (i.e., r lacks k);
       // ties go to the keyword eliminating fewest results.
       SweepCandidates(
-          [&](TermId k) {
+          [&](size_t i) {
             CandidateEntry e;
-            if (in_query_.count(k) != 0) return e;
-            if (rdoc.Contains(k)) return e;  // cannot eliminate r
-            if (KillsCluster(k)) return e;
-            auto [b, c] = BenefitCost(k);
+            if (InQuery(ctx_.candidates[i])) return e;
+            const DynamicBitset& docs_k = *ctx_.candidate_docs[i];
+            if (docs_k.Test(r)) return e;  // cannot eliminate r
+            if (KillsCluster(docs_k)) return e;
+            auto [b, c] = BenefitCost(docs_k);
             e.evals = 1;
             e.value = ValueOf(b, c);
-            e.eliminated = NumEliminatedBy(k);
+            e.eliminated = NumEliminatedBy(docs_k);
             e.eligible = true;
             return e;
           },
           &entries_buf_);
-      TermId best = SelectBestByValueThenElim(entries_buf_);
-      if (best == kInvalidTermId) {
+      const size_t best = SelectBestByValueThenElim(entries_buf_);
+      if (best == kNone) {
         blocked_->Set(r);
         continue;
       }
@@ -384,7 +381,6 @@ class SampleBuilder {
   /// swept-entry buffer (scatter-gather merge target).
   std::vector<size_t> indices_buf_;
   EntryBuffer entries_buf_;
-  std::unordered_set<TermId> in_query_;
 };
 
 }  // namespace
@@ -399,6 +395,7 @@ ExpansionResult PebcExpander::Expand(const ExpansionContext& context) const {
 ExpansionResult PebcExpander::ExpandWithTrace(
     const ExpansionContext& context, std::vector<PebcSample>* trace) const {
   QEC_CHECK(context.universe != nullptr);
+  QEC_CHECK_EQ(context.candidate_docs.size(), context.candidates.size());
   QEC_TRACE_SPAN("pebc/expand");
   Rng rng(options_.seed);
   size_t recomputations = 0;

@@ -76,29 +76,25 @@ Result<ExpansionOutcome> QueryExpander::Expand(
   cluster::Clustering clustering;
   {
     QEC_TRACE_SPAN("engine/cluster");
-    std::vector<cluster::SparseVector> vectors;
-    vectors.reserve(universe.size());
-    for (size_t i = 0; i < universe.size(); ++i) {
-      vectors.push_back(cluster::SparseVector::FromDocument(
-          index_->corpus().Get(universe.doc_at(i))));
-    }
+    // The results' TF vectors (Appendix C) are the universe's term table.
+    const cluster::PointSet points(universe.term_table());
     switch (options_.clustering) {
       case ClusteringAlgorithm::kKMeans: {
         cluster::KMeansOptions kmeans_options = options_.kmeans;
         kmeans_options.k = options_.max_clusters;
-        clustering = cluster::KMeans(kmeans_options).Cluster(vectors);
+        clustering = cluster::KMeans(kmeans_options).Cluster(points);
         break;
       }
       case ClusteringAlgorithm::kHac: {
         cluster::HacOptions hac_options;
         hac_options.k = options_.max_clusters;
         hac_options.auto_k = options_.kmeans.auto_k;
-        clustering = cluster::Hac(hac_options).Cluster(vectors);
+        clustering = cluster::Hac(hac_options).Cluster(points);
         break;
       }
       case ClusteringAlgorithm::kDynamic:
         clustering = cluster::SelectBestClustering(
-            vectors, options_.max_clusters, options_.kmeans.seed);
+            points, options_.max_clusters, options_.kmeans.seed);
         break;
     }
   }

@@ -67,10 +67,9 @@ struct QueryExpanderOptions {
   /// (see ResolveThreadCount in common/threading.h for the shared
   /// semantics with the qec_server pool).
   size_t num_threads = 1;
-  /// Memoize DocsWithoutTerm complements and small-arity Retrieve
-  /// conjunctions on the per-request universe
-  /// (ResultUniverse::EnableSetAlgebraCache). Identical results; the
-  /// serving layer enables it by default.
+  /// Memoize small-arity Retrieve conjunctions on the per-request
+  /// universe (ResultUniverse::EnableSetAlgebraCache). Identical results;
+  /// the serving layer enables it by default.
   bool memoize_set_algebra = false;
   /// Drop keywords whose removal leaves the expanded query's result set
   /// unchanged (query_minimizer.h): same precision/recall, shorter

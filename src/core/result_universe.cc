@@ -7,6 +7,7 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "common/small_vector.h"
@@ -44,7 +45,6 @@ struct TransparentStringHash {
 
 struct ResultUniverse::SetAlgebraCache {
   std::shared_mutex mu;
-  std::unordered_map<TermId, DynamicBitset> complements;
   std::unordered_map<std::string, DynamicBitset, TransparentStringHash,
                      std::equal_to<>>
       conjunctions;
@@ -128,7 +128,7 @@ ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
     docs_.push_back(r.doc);
     weights_.push_back(r.score > kMinWeight ? r.score : kMinWeight);
   }
-  BuildTermMap();
+  BuildTermTable();
 }
 
 ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
@@ -136,10 +136,10 @@ ResultUniverse::ResultUniverse(const doc::Corpus& corpus,
     : corpus_(&corpus), scratch_(std::make_shared<ScratchArena>()) {
   docs_ = results;
   weights_.assign(results.size(), 1.0);
-  BuildTermMap();
+  BuildTermTable();
 }
 
-void ResultUniverse::BuildTermMap() {
+void ResultUniverse::BuildTermTable() {
   QEC_TRACE_SPAN("universe/build");
   QEC_COUNTER_INC("universe/builds");
   total_weight_ = 0.0;
@@ -148,17 +148,42 @@ void ResultUniverse::BuildTermMap() {
       std::all_of(weights_.begin(), weights_.end(),
                   [](double w) { return w == 1.0; });
   empty_ = DynamicBitset(docs_.size());
+  size_t num_entries = 0;
+  for (DocId d : docs_) num_entries += corpus_->Get(d).term_set().size();
+  std::vector<TermId> terms;
+  std::vector<uint32_t> points;
+  std::vector<double> weights;
+  terms.reserve(num_entries);
+  points.reserve(num_entries);
+  weights.reserve(num_entries);
   for (size_t i = 0; i < docs_.size(); ++i) {
     const doc::Document& d = corpus_->Get(docs_[i]);
-    for (TermId t : d.term_set()) {
-      auto [it, inserted] = term_docs_.try_emplace(t, docs_.size());
-      it->second.Set(i);
-      term_tf_[t] += d.TermFrequency(t);
-    }
+    terms.insert(terms.end(), d.term_set().begin(), d.term_set().end());
+    points.insert(points.end(), d.term_set().size(), static_cast<uint32_t>(i));
+    weights.insert(weights.end(), d.term_counts().begin(),
+                   d.term_counts().end());
   }
-  distinct_terms_.reserve(term_docs_.size());
-  for (const auto& [t, bits] : term_docs_) distinct_terms_.push_back(t);
-  std::sort(distinct_terms_.begin(), distinct_terms_.end());
+  table_ = cluster::TermTable::FromRows(docs_.size(), std::move(terms),
+                                        std::move(points), std::move(weights));
+  const size_t num_terms = table_.num_terms();
+  term_docs_.reserve(num_terms);
+  term_tf_.resize(num_terms);
+  for (size_t t = 0; t < num_terms; ++t) {
+    DynamicBitset& bits = term_docs_.emplace_back(docs_.size());
+    int tf = 0;
+    for (uint32_t e = table_.offsets[t]; e < table_.offsets[t + 1]; ++e) {
+      bits.Set(table_.points[e]);
+      tf += static_cast<int>(table_.weights[e]);
+    }
+    term_tf_[t] = tf;
+  }
+}
+
+size_t ResultUniverse::LocalTermId(TermId term) const {
+  const std::vector<TermId>& terms = table_.terms;
+  auto it = std::lower_bound(terms.begin(), terms.end(), term);
+  if (it == terms.end() || *it != term) return kNoLocalTerm;
+  return static_cast<size_t>(it - terms.begin());
 }
 
 // Deliberately uncounted: TotalWeight runs once per benefit/cost
@@ -222,9 +247,8 @@ double ResultUniverse::WeightOfAndNotAnd(const DynamicBitset& a,
 }
 
 const DynamicBitset& ResultUniverse::FindDocs(TermId term) const {
-  auto it = term_docs_.find(term);
-  if (it == term_docs_.end()) return empty_;
-  return it->second;
+  const size_t local = LocalTermId(term);
+  return local == kNoLocalTerm ? empty_ : term_docs_[local];
 }
 
 const DynamicBitset& ResultUniverse::DocsWithTerm(TermId term) const {
@@ -234,24 +258,6 @@ const DynamicBitset& ResultUniverse::DocsWithTerm(TermId term) const {
 
 DynamicBitset ResultUniverse::DocsWithoutTerm(TermId term) const {
   QEC_COUNTER_INC("universe/term_lookups");
-  if (set_cache_ != nullptr) {
-    {
-      std::shared_lock lock(set_cache_->mu);
-      auto it = set_cache_->complements.find(term);
-      if (it != set_cache_->complements.end()) {
-        set_cache_->hits.fetch_add(1, std::memory_order_relaxed);
-        QEC_COUNTER_INC("universe/set_cache_hits");
-        return it->second;
-      }
-    }
-    DynamicBitset out = FullSet();
-    out.AndNot(FindDocs(term));
-    set_cache_->misses.fetch_add(1, std::memory_order_relaxed);
-    QEC_COUNTER_INC("universe/set_cache_misses");
-    std::unique_lock lock(set_cache_->mu);
-    return set_cache_->complements.try_emplace(term, std::move(out))
-        .first->second;
-  }
   DynamicBitset out = FullSet();
   out.AndNot(FindDocs(term));
   return out;
@@ -313,8 +319,8 @@ DynamicBitset ResultUniverse::RetrieveOr(std::span<const TermId> query) const {
 }
 
 int ResultUniverse::TotalTermFrequency(TermId term) const {
-  auto it = term_tf_.find(term);
-  return it == term_tf_.end() ? 0 : it->second;
+  const size_t local = LocalTermId(term);
+  return local == kNoLocalTerm ? 0 : term_tf_[local];
 }
 
 }  // namespace qec::core

@@ -4,9 +4,9 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "cluster/point_set.h"
 #include "common/dynamic_bitset.h"
 #include "common/logging.h"
 #include "common/types.h"
@@ -38,6 +38,13 @@ struct ScratchArenaStats {
 /// Results get dense local ids 0..size()-1; set algebra uses DynamicBitset
 /// over local ids. Each result carries a ranking weight: the paper's S(.)
 /// is the sum of weights of a set of results (weight 1.0 when unranked).
+///
+/// The universe is built from one pass over its results' term lists into a
+/// cluster::TermTable (results as points, term frequencies as weights),
+/// which it keeps: distinct terms get local term ids in increasing TermId
+/// order, and each term's result bitset, total tf and df sit in flat arrays
+/// indexed by that id. Candidate selection reads tf and df from there, and
+/// the engine builds its clustering PointSet from the same table.
 class ResultUniverse {
   struct ScratchArena;  // defined in result_universe.cc
 
@@ -107,6 +114,8 @@ class ResultUniverse {
   double total_weight() const { return total_weight_; }
 
   /// Bitset of results containing `term` (all-zero for unknown terms).
+  /// Counts one universe/term_lookups; hot loops resolve their terms once
+  /// (MakeContext does for the candidates) and index the result.
   const DynamicBitset& DocsWithTerm(TermId term) const;
 
   /// E(k): results NOT containing `term` — the results any query containing
@@ -152,11 +161,23 @@ class ResultUniverse {
     return RetrieveOr(std::span<const TermId>(query.begin(), query.size()));
   }
 
-  /// All distinct terms that appear in at least one result.
-  const std::vector<TermId>& DistinctTerms() const { return distinct_terms_; }
+  /// All distinct terms that appear in at least one result, ascending. A
+  /// term's position here is its local term id.
+  const std::vector<TermId>& DistinctTerms() const { return table_.terms; }
+
+  /// Total term frequency of local term `local` across the results.
+  int LocalTermFrequency(size_t local) const { return term_tf_[local]; }
+  /// Number of results containing local term `local`.
+  size_t LocalDocumentFrequency(size_t local) const {
+    return table_.offsets[local + 1] - table_.offsets[local];
+  }
 
   /// Total term frequency of `term` across the universe's results.
   int TotalTermFrequency(TermId term) const;
+
+  /// The (result, term, tf) table the universe was built from: results are
+  /// its points, in local result id order.
+  const cluster::TermTable& term_table() const { return table_; }
 
   /// A bitset of the right size, all clear.
   DynamicBitset EmptySet() const { return DynamicBitset(size()); }
@@ -198,14 +219,12 @@ class ResultUniverse {
   ScratchBitset AcquireScratch(bool all_set = false) const;
   ScratchArenaStats scratch_arena_stats() const;
 
-  /// Turns on memoization of DocsWithoutTerm complements and small-arity
-  /// Retrieve conjunctions (up to kMaxMemoArity terms). Memoized calls
-  /// return bit-identical results; repeated calls copy the cached bitset
-  /// instead of re-running the AND/AND-NOT loops ISKR's and PEBC's
-  /// benefit/cost inner loops otherwise pay per evaluation. Thread-safe:
-  /// concurrent per-cluster expansion threads share the memo. The memo is
-  /// bounded by the universe's distinct terms / distinct queries evaluated,
-  /// both small for a per-request universe.
+  /// Turns on memoization of small-arity Retrieve conjunctions (2 to
+  /// kMaxMemoArity terms). Memoized calls return bit-identical results;
+  /// repeated calls copy the cached bitset instead of re-running the AND
+  /// loop. Thread-safe: concurrent per-cluster expansion threads share the
+  /// memo. The memo is bounded by the distinct queries evaluated, small for
+  /// a per-request universe.
   void EnableSetAlgebraCache();
   bool set_algebra_cache_enabled() const { return set_cache_ != nullptr; }
   SetAlgebraCacheStats set_algebra_cache_stats() const;
@@ -215,7 +234,11 @@ class ResultUniverse {
   static constexpr size_t kMaxMemoArity = 4;
 
  private:
-  void BuildTermMap();
+  void BuildTermTable();
+
+  /// Local term id of `term`, or kNoLocalTerm when no result contains it.
+  size_t LocalTermId(TermId term) const;
+  static constexpr size_t kNoLocalTerm = static_cast<size_t>(-1);
 
   /// DocsWithTerm without the universe/term_lookups counter, for internal
   /// callers whose own batched counters already account for the lookup.
@@ -230,9 +253,10 @@ class ResultUniverse {
   /// summing k in-order 1.0s yields exactly k.
   bool unit_weights_ = false;
   double total_weight_ = 0.0;
-  std::unordered_map<TermId, DynamicBitset> term_docs_;
-  std::unordered_map<TermId, int> term_tf_;
-  std::vector<TermId> distinct_terms_;
+  cluster::TermTable table_;
+  /// Indexed by local term id.
+  std::vector<DynamicBitset> term_docs_;
+  std::vector<int> term_tf_;
   DynamicBitset empty_;
   /// shared_ptr keeps the universe copyable; copies share the memo, which
   /// stays correct because they also share identical term/doc contents.

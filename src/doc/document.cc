@@ -27,16 +27,31 @@ Document::Document(DocId id, DocumentKind kind, std::string title,
       kind_(kind),
       title_(std::move(title)),
       terms_(std::move(terms)),
-      features_(std::move(features)) {
-  term_set_ = terms_;
-  std::sort(term_set_.begin(), term_set_.end());
-  term_set_.erase(std::unique(term_set_.begin(), term_set_.end()),
-                  term_set_.end());
-  term_counts_.assign(term_set_.size(), 0);
-  for (TermId t : terms_) {
-    auto it = std::lower_bound(term_set_.begin(), term_set_.end(), t);
-    term_counts_[static_cast<size_t>(it - term_set_.begin())]++;
+      features_(features.empty() ? nullptr
+                                 : std::make_unique<const std::vector<Feature>>(
+                                       std::move(features))) {
+  // Run-length count a sorted copy; the two per-document arrays are
+  // allocated at their exact size (a corpus holds millions of them).
+  std::vector<TermId> sorted = terms_;
+  std::sort(sorted.begin(), sorted.end());
+  size_t distinct = 0;
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) ++distinct;
   }
+  term_set_.reserve(distinct);
+  term_counts_.reserve(distinct);
+  for (size_t i = 0; i < sorted.size(); ++i) {
+    if (i == 0 || sorted[i] != sorted[i - 1]) {
+      term_set_.push_back(sorted[i]);
+      term_counts_.push_back(0);
+    }
+    ++term_counts_.back();
+  }
+}
+
+const std::vector<Feature>& Document::features() const {
+  static const std::vector<Feature> kNone;
+  return features_ != nullptr ? *features_ : kNone;
 }
 
 int Document::TermFrequency(TermId term) const {

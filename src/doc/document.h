@@ -1,6 +1,7 @@
 #ifndef QEC_DOC_DOCUMENT_H_
 #define QEC_DOC_DOCUMENT_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -50,6 +51,9 @@ class Document {
   /// Sorted, deduplicated term ids.
   const std::vector<TermId>& term_set() const { return term_set_; }
 
+  /// Frequency of each term_set() entry, parallel to it.
+  const std::vector<int>& term_counts() const { return term_counts_; }
+
   /// Frequency of `term` in this document (0 when absent).
   int TermFrequency(TermId term) const;
 
@@ -57,7 +61,7 @@ class Document {
   bool Contains(TermId term) const;
 
   /// Structured features (empty for text documents).
-  const std::vector<Feature>& features() const { return features_; }
+  const std::vector<Feature>& features() const;
 
   /// Number of term occurrences (document length).
   size_t length() const { return terms_.size(); }
@@ -69,7 +73,9 @@ class Document {
   std::vector<TermId> terms_;
   std::vector<TermId> term_set_;   // sorted unique
   std::vector<int> term_counts_;   // parallel to term_set_
-  std::vector<Feature> features_;
+  /// Null when there are none (every text document): a pointer costs a
+  /// third of an empty vector in each of a corpus's documents.
+  std::unique_ptr<const std::vector<Feature>> features_;
 };
 
 }  // namespace qec::doc

@@ -85,12 +85,17 @@ void InvertedIndex::RebuildParallel(size_t num_threads) {
 
 void InvertedIndex::ComputeDocNorms() {
   // TF-IDF document norms for VSM scoring (needs df, so a second pass).
+  // Each term's idf is computed once, not once per occurrence.
+  std::vector<double> idf(corpus_->analyzer().vocabulary().size());
+  for (TermId t = 0; t < idf.size(); ++t) idf[t] = Idf(t);
   doc_norms_.assign(corpus_->NumDocs(), 0.0);
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
     const doc::Document& doc = corpus_->Get(d);
+    const std::vector<TermId>& terms = doc.term_set();
+    const std::vector<int>& counts = doc.term_counts();
     double sq = 0.0;
-    for (TermId t : doc.term_set()) {
-      double w = static_cast<double>(doc.TermFrequency(t)) * Idf(t);
+    for (size_t i = 0; i < terms.size(); ++i) {
+      double w = static_cast<double>(counts[i]) * idf[terms[i]];
       sq += w * w;
     }
     doc_norms_[d] = std::sqrt(sq);
@@ -189,18 +194,36 @@ std::vector<RankedResult> InvertedIndex::Search(
   QEC_TRACE_SPAN("index/search");
   QEC_COUNTER_INC("index/searches");
   std::vector<DocId> docs = EvaluateAnd(terms);
+  // TfIdfScore's sum with each term's idf computed once per query: the
+  // same products added in the same order.
+  std::vector<double> idf(terms.size());
+  for (size_t i = 0; i < terms.size(); ++i) idf[i] = Idf(terms[i]);
   std::vector<RankedResult> out;
   out.reserve(docs.size());
-  for (DocId d : docs) out.push_back(RankedResult{d, TfIdfScore(terms, d)});
+  for (DocId d : docs) {
+    const doc::Document& document = corpus_->Get(d);
+    double score = 0.0;
+    for (size_t i = 0; i < terms.size(); ++i) {
+      const int tf = document.TermFrequency(terms[i]);
+      if (tf > 0) score += static_cast<double>(tf) * idf[i];
+    }
+    out.push_back(RankedResult{d, score});
+  }
   // Score ties break on external ids: on a cluster-reordered corpus the
   // ranked order (hence the expansion universe) matches the unpermuted
   // index exactly; with no mapping installed this is the plain id order.
-  std::sort(out.begin(), out.end(), [this](const RankedResult& a,
-                                           const RankedResult& b) {
+  // Doc ids are distinct, so this is a strict total order and the top-k
+  // prefix of a partial sort is the full sort's.
+  auto before = [this](const RankedResult& a, const RankedResult& b) {
     if (a.score != b.score) return a.score > b.score;
     return ExternalId(a.doc) < ExternalId(b.doc);
-  });
-  if (top_k > 0 && out.size() > top_k) out.resize(top_k);
+  };
+  if (top_k > 0 && out.size() > top_k) {
+    std::partial_sort(out.begin(), out.begin() + top_k, out.end(), before);
+    out.resize(top_k);
+  } else {
+    std::sort(out.begin(), out.end(), before);
+  }
   return out;
 }
 

@@ -445,6 +445,37 @@ Result<doc::Corpus> SnapshotReader::LoadCorpus() const {
   return corpus;
 }
 
+namespace {
+
+/// Order-independent summary of a posting list: df, total tf and a sum of
+/// mixed (doc, tf) pairs. A list that drops, adds or alters a posting
+/// changes the summary except with probability about 2^-64 (splitmix64's
+/// finalizer as the mixer).
+struct PostingFingerprint {
+  uint64_t df = 0;
+  uint64_t tf = 0;
+  uint64_t mix = 0;
+
+  void Add(DocId doc, int term_frequency) {
+    uint64_t x = (uint64_t{doc} << 32) ^ static_cast<uint32_t>(term_frequency);
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    ++df;
+    tf += static_cast<uint32_t>(term_frequency);
+    mix += x;
+  }
+
+  friend bool operator==(const PostingFingerprint& a,
+                         const PostingFingerprint& b) {
+    return a.df == b.df && a.tf == b.tf && a.mix == b.mix;
+  }
+};
+
+}  // namespace
+
 Result<index::InvertedIndex> SnapshotReader::LoadIndex(
     const doc::Corpus& corpus) const {
   auto indx = Section(kSectionIndex);
@@ -460,6 +491,10 @@ Result<index::InvertedIndex> SnapshotReader::LoadIndex(
         std::to_string(corpus.analyzer().vocabulary().size()));
   }
   std::vector<std::vector<index::Posting>> postings(*num_terms);
+  // INDX must be DOCS inverted, or search would rank a different corpus
+  // than the one the result universe reads. Each term's posting list is
+  // summarized here and compared below with the same summary of DOCS.
+  std::vector<PostingFingerprint> indexed(*num_terms);
   for (uint64_t t = 0; t < *num_terms; ++t) {
     auto len = index::ReadVarint(data, &pos);
     if (!len.ok()) return len.status();
@@ -475,11 +510,27 @@ Result<index::InvertedIndex> SnapshotReader::LoadIndex(
             "snapshot posting references unknown document " +
             std::to_string(p.doc));
       }
+      indexed[t].Add(p.doc, p.tf);
     }
     postings[t] = std::move(*list);
   }
   if (pos != data.size()) {
     return Status::Corruption("trailing bytes in snapshot INDX section");
+  }
+  std::vector<PostingFingerprint> inverted(*num_terms);
+  for (DocId d = 0; d < corpus.NumDocs(); ++d) {
+    const doc::Document& document = corpus.Get(d);
+    const std::vector<TermId>& terms = document.term_set();
+    const std::vector<int>& counts = document.term_counts();
+    for (size_t i = 0; i < terms.size(); ++i) {
+      inverted[terms[i]].Add(d, counts[i]);
+    }
+  }
+  for (uint64_t t = 0; t < *num_terms; ++t) {
+    if (!(indexed[t] == inverted[t])) {
+      return Status::Corruption("snapshot postings of term " +
+                                std::to_string(t) + " disagree with DOCS");
+    }
   }
   return index::InvertedIndex::FromPostings(corpus, std::move(postings));
 }

@@ -1257,6 +1257,127 @@ TEST_P(ClusteringExactnessProperty, KernelMatchesMergeWalkReference) {
   }
 }
 
+/// The engine's PointSet comes from the result universe's term table; the
+/// public SparseVector overloads build theirs from the vectors. On the same
+/// documents both must hold the same points bit for bit (norms, every dot
+/// product and distance, against the merge-walk reference too) and drive
+/// k-means, HAC and the dynamic choice to the same outcome, iteration
+/// counts included.
+TEST_P(ClusteringExactnessProperty, UniverseTableMatchesVectors) {
+  Rng rng(GetParam() + 1000);
+#ifndef QEC_DISABLE_TRACING
+  obs::Counter* iterations = obs::MetricsRegistry::Global().GetCounter(
+      "cluster/kmeans_iterations");
+#endif
+  for (int iter = 0; iter < 20; ++iter) {
+    // One document per point; a weight w becomes a term frequency of
+    // ceil(w) (fractional shapes round up to whole counts).
+    const std::vector<cluster::SparseVector> shapes = RandomPointSet(rng);
+    doc::Corpus corpus;
+    TermId max_term = 0;
+    for (const auto& p : shapes) {
+      for (const auto& [t, w] : p.entries()) max_term = std::max(max_term, t);
+    }
+    for (TermId t = 0; t <= max_term; ++t) {
+      corpus.analyzer().InternVerbatim("t" + std::to_string(t));
+    }
+    for (const auto& p : shapes) {
+      std::vector<TermId> terms;
+      for (const auto& [t, w] : p.entries()) {
+        terms.insert(terms.end(), static_cast<size_t>(std::ceil(w)), t);
+      }
+      rng.Shuffle(terms);
+      corpus.RestoreDocument(doc::DocumentKind::kText, "d", std::move(terms),
+                             {});
+    }
+    // The universe lists the documents in a random order, as a ranking does.
+    std::vector<DocId> order(corpus.NumDocs());
+    for (DocId d = 0; d < order.size(); ++d) order[d] = d;
+    rng.Shuffle(order);
+    const core::ResultUniverse universe(corpus, order);
+    std::vector<cluster::SparseVector> vectors;
+    std::vector<ref::Entries> ref_points;
+    for (size_t i = 0; i < universe.size(); ++i) {
+      vectors.push_back(
+          cluster::SparseVector::FromDocument(corpus.Get(universe.doc_at(i))));
+      ref_points.push_back(ref::Of(vectors.back()));
+    }
+    const size_t n = vectors.size();
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n));
+    const cluster::PointSet from_table(universe.term_table());
+    const cluster::PointSet from_vectors(vectors);
+
+    ASSERT_EQ(from_table.size(), n);
+    ASSERT_EQ(from_table.dim(), from_vectors.dim());
+    std::vector<double> centroid(from_table.dim(), 0.0);
+    for (size_t i = 0; i < n; i += 2) from_table.AddTo(i, centroid.data());
+    double centroid_sq = 0.0;
+    for (double w : centroid) centroid_sq += w * w;
+    const double centroid_norm = std::sqrt(centroid_sq);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(SameBits(from_table.norm(i), from_vectors.norm(i)));
+      EXPECT_TRUE(SameBits(from_table.norm(i), ref::Norm(ref_points[i])));
+      std::vector<double> dots_table(n, 0.0), dots_vectors(n, 0.0);
+      from_table.AddDots(i, dots_table.data());
+      from_vectors.AddDots(i, dots_vectors.data());
+      for (size_t j = 0; j < n; ++j) {
+        ASSERT_TRUE(SameBits(dots_table[j], dots_vectors[j])) << i << "," << j;
+        ASSERT_TRUE(
+            SameBits(dots_table[j], ref::Dot(ref_points[i], ref_points[j])));
+        ASSERT_TRUE(SameBits(from_table.Distance(i, j, dots_table[j]),
+                             from_vectors.Distance(i, j, dots_vectors[j])));
+      }
+      EXPECT_TRUE(
+          SameBits(from_table.DistanceTo(i, centroid.data(), centroid_norm),
+                   from_vectors.DistanceTo(i, centroid.data(), centroid_norm)));
+    }
+
+    const size_t k = 1 + rng.UniformInt(n + 3);
+    const uint64_t seed = rng.Next();
+    for (bool auto_k : {false, true}) {
+      cluster::KMeansOptions options;
+      options.k = k;
+      options.seed = seed;
+      options.auto_k = auto_k;
+      double table_score = -2.0, vectors_score = -3.0;
+#ifndef QEC_DISABLE_TRACING
+      const uint64_t before_table = iterations->value();
+#endif
+      const cluster::Clustering a =
+          cluster::KMeans(options).Cluster(from_table, &table_score);
+#ifndef QEC_DISABLE_TRACING
+      const uint64_t table_iterations = iterations->value() - before_table;
+      const uint64_t before_vectors = iterations->value();
+#endif
+      const cluster::Clustering b =
+          cluster::KMeans(options).Cluster(from_vectors, &vectors_score);
+#ifndef QEC_DISABLE_TRACING
+      EXPECT_EQ(iterations->value() - before_vectors, table_iterations);
+#endif
+      ASSERT_EQ(a.assignment, b.assignment) << auto_k;
+      ASSERT_EQ(a.num_clusters, b.num_clusters) << auto_k;
+      EXPECT_TRUE(SameBits(table_score, vectors_score)) << auto_k;
+
+      cluster::HacOptions hac_options;
+      hac_options.k = k;
+      hac_options.auto_k = auto_k;
+      const cluster::Clustering ha =
+          cluster::Hac(hac_options).Cluster(from_table, &table_score);
+      const cluster::Clustering hb =
+          cluster::Hac(hac_options).Cluster(from_vectors, &vectors_score);
+      ASSERT_EQ(ha.assignment, hb.assignment) << auto_k;
+      EXPECT_TRUE(SameBits(table_score, vectors_score)) << auto_k;
+    }
+    cluster::ClusteringMethod table_method, vectors_method;
+    const cluster::Clustering best_table =
+        cluster::SelectBestClustering(from_table, k, seed, &table_method);
+    const cluster::Clustering best_vectors =
+        cluster::SelectBestClustering(vectors, k, seed, &vectors_method);
+    ASSERT_EQ(best_table.assignment, best_vectors.assignment);
+    EXPECT_EQ(table_method, vectors_method);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringExactnessProperty,
                          ::testing::Range<uint64_t>(1, 26));
 

@@ -470,12 +470,29 @@ void ExpectIdsInRange(const Snapshot& snapshot) {
   }
 }
 
+/// A load that succeeds also promises that INDX is DOCS inverted: the
+/// postings rebuilt from the loaded documents equal the loaded ones.
+void ExpectIndexMatchesDocs(const Snapshot& snapshot) {
+  const index::InvertedIndex rebuilt(*snapshot.corpus);
+  const size_t vocab = snapshot.corpus->analyzer().vocabulary().size();
+  for (TermId t = 0; t < vocab; ++t) {
+    const auto& got = snapshot.index->Postings(t);
+    const auto& want = rebuilt.Postings(t);
+    ASSERT_EQ(got.size(), want.size()) << "term " << t;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(got[i].doc, want[i].doc) << "term " << t;
+      ASSERT_EQ(got[i].tf, want[i].tf) << "term " << t;
+    }
+  }
+}
+
 TEST(SnapshotFuzzTest, PayloadMutationsWithFixedCrcsNeverCrash) {
   // Random flips are almost always caught by a CRC before any decoder runs.
   // Re-checksumming after each mutation sends the bytes through the DOCS
   // and INDX decoders instead, so their range checks (term ids, counts,
-  // posting gaps, doc ids) are what must turn bad input into Corruption;
-  // whatever they accept must still have every id in range.
+  // posting gaps, doc ids) and the INDX/DOCS cross-check are what must
+  // turn bad input into Corruption; whatever they accept must still have
+  // every id in range and an index that agrees with its documents.
   doc::Corpus corpus = StructuredCorpus();
   index::InvertedIndex index(corpus);
   const std::string blob = SerializeSnapshot(index);
@@ -495,6 +512,7 @@ TEST(SnapshotFuzzTest, PayloadMutationsWithFixedCrcsNeverCrash) {
     auto snapshot = DeserializeSnapshot(mutated);  // must not crash
     if (snapshot.ok()) {
       ExpectIdsInRange(*snapshot);
+      ExpectIndexMatchesDocs(*snapshot);
       continue;
     }
     ++rejected;
@@ -548,6 +566,48 @@ TEST(SnapshotCorruptionTest, IndexVocabularyMismatchIsCorruption) {
   EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
   EXPECT_NE(snapshot.status().message().find("vocabulary"), std::string::npos)
       << snapshot.status().ToString();
+}
+
+TEST(SnapshotCorruptionTest, IndexDisagreeingWithDocsIsCorruption) {
+  // Search reads INDX while the result universe reads DOCS, so a snapshot
+  // whose posting lists are not its documents inverted must not load, even
+  // when every CRC and the STAT totals are valid. Each forgery below edits
+  // one posting list of a correct index and lets the writer checksum it.
+  doc::Corpus corpus = TextCorpus();
+  const index::InvertedIndex good(corpus);
+  const TermId apple = corpus.analyzer().AnalyzeReadOnly("apple").at(0);
+  const TermId java = corpus.analyzer().AnalyzeReadOnly("java").at(0);
+  ASSERT_EQ(good.Postings(apple).size(), 2u);
+  auto postings_of = [&] {
+    std::vector<std::vector<index::Posting>> postings;
+    for (TermId t = 0; t < corpus.analyzer().vocabulary().size(); ++t) {
+      postings.push_back(good.Postings(t));
+    }
+    return postings;
+  };
+  auto dropped = postings_of();  // doc 1 keeps "apple" in DOCS only
+  dropped[apple].pop_back();
+  auto retf = postings_of();  // doc 1 has "apple" twice, INDX says three
+  retf[apple][1].tf += 1;
+  auto swapped = postings_of();  // same df and total tf, tfs on wrong docs
+  ASSERT_NE(swapped[apple][0].tf, swapped[apple][1].tf);
+  std::swap(swapped[apple][0].tf, swapped[apple][1].tf);
+  auto added = postings_of();  // doc 0 lacks "java"
+  added[java].insert(added[java].begin(), index::Posting{0, 1});
+  for (auto* forged : {&dropped, &retf, &swapped, &added}) {
+    const std::string blob = SerializeSnapshot(
+        index::InvertedIndex::FromPostings(corpus, *forged));
+    auto reader = SnapshotReader::Open(blob);
+    ASSERT_TRUE(reader.ok());
+    ASSERT_TRUE(reader->LoadCorpus().ok()) << "DOCS and STAT are intact";
+    auto snapshot = DeserializeSnapshot(blob);
+    ASSERT_FALSE(snapshot.ok());
+    EXPECT_EQ(snapshot.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(snapshot.status().message().find("disagree with DOCS"),
+              std::string::npos)
+        << snapshot.status().ToString();
+  }
+  EXPECT_TRUE(DeserializeSnapshot(SerializeSnapshot(good)).ok());
 }
 
 // -------------------------------------------------------------------- file
