@@ -145,6 +145,34 @@ void BM_KMeansCluster(benchmark::State& state) {
 }
 BENCHMARK(BM_KMeansCluster)->Arg(10)->Arg(30)->Arg(300);
 
+/// The silhouette pass alone, scoring what auto-k scores: the k = 1..5
+/// k-means clusterings of the top-N vector-space (OR) results of three
+/// topic terms, ~2,800 matches, so Arg(1890) is as deep as a served
+/// topk=0 request on a topic term of the 200k-doc snapshot.
+void BM_MeanSilhouettes(benchmark::State& state) {
+  const ClusteredBench& b = Clustered();
+  auto results = b.index.SearchVsm(b.Terms("c3t5 c4t5 c5t5"),
+                                   static_cast<size_t>(state.range(0)));
+  std::vector<qec::cluster::SparseVector> vectors;
+  for (const auto& r : results) {
+    vectors.push_back(
+        qec::cluster::SparseVector::FromDocument(b.corpus.Get(r.doc)));
+  }
+  const qec::cluster::PointSet points(vectors);
+  std::vector<qec::cluster::Clustering> candidates;
+  for (size_t k = 1; k <= 5; ++k) {
+    qec::cluster::KMeansOptions options;
+    options.k = k;
+    candidates.push_back(qec::cluster::KMeans(options).Cluster(points));
+  }
+  for (auto _ : state) {
+    auto scores = qec::cluster::MeanSilhouettes(points, candidates);
+    benchmark::DoNotOptimize(scores);
+  }
+  state.counters["points"] = static_cast<double>(points.size());
+}
+BENCHMARK(BM_MeanSilhouettes)->Arg(300)->Arg(1890);
+
 void BM_UniverseBuild(benchmark::State& state) {
   const ClusteredBench& b = Clustered();
   auto results =

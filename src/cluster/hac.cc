@@ -26,9 +26,10 @@ class Agglomerator {
         size_(n_, 1),
         dist_(n_ * n_, 0.0) {
     std::vector<double> dots(n_);
+    PointSet::LaterDots later(points);
     for (size_t i = 0; i < n_; ++i) {
-      std::fill(dots.begin(), dots.end(), 0.0);
-      points.AddDots(i, dots.data());
+      std::fill(dots.begin() + i + 1, dots.end(), 0.0);
+      later.Add(i, dots.data());
       for (size_t j = i + 1; j < n_; ++j) {
         double d = points.Distance(i, j, dots[j]);
         dist_[i * n_ + j] = d;

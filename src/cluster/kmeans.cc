@@ -25,22 +25,40 @@ KMeans::KMeans(KMeansOptions options) : options_(options) {}
 
 namespace {
 
-/// L2 norm of a dense vector, summed in id order like SparseVector::Norm
-/// (its zero entries add exact zeros).
-double DenseNorm(const double* v, size_t dim) {
-  double sq = 0.0;
-  for (size_t t = 0; t < dim; ++t) sq += v[t] * v[t];
-  return std::sqrt(sq);
-}
-
-/// Scales `v` to unit norm (no-op for the zero vector) and returns its
-/// norm afterwards, which SparseVector::Normalize leaves only near 1.
-double NormalizeDense(double* v, size_t dim) {
-  const double n = DenseNorm(v, dim);
-  if (n == 0.0) return n;
-  const double scale = 1.0 / n;
-  for (size_t t = 0; t < dim; ++t) v[t] *= scale;
-  return DenseNorm(v, dim);
+/// Scales every row c of `rows` (the dense row [c * dim, (c + 1) * dim))
+/// whose cluster has members (members[c] > 0) by 1 / its norm (a zero row
+/// stays as it is) and writes its norm afterwards, which is only near 1,
+/// to norms[c]; the other rows and norms are left alone. Each sum of
+/// squares runs in id order like SparseVector::Norm (the zero entries add
+/// exact zeros); one pass over the ids carries the k rows' sums side by
+/// side as independent chains.
+void NormalizeRows(double* rows, size_t k, size_t dim,
+                   const std::vector<size_t>& members, double* norms) {
+  std::vector<double> sq(k, 0.0);
+  for (size_t t = 0; t < dim; ++t) {
+    for (size_t c = 0; c < k; ++c) {
+      const double v = rows[c * dim + t];
+      sq[c] += v * v;
+    }
+  }
+  // Multiplying by 1.0 leaves a row that is not scaled (a skipped or zero
+  // row) bit for bit as it is.
+  std::vector<double> scale(k, 1.0);
+  for (size_t c = 0; c < k; ++c) {
+    const double n = std::sqrt(sq[c]);
+    if (members[c] != 0 && n != 0.0) scale[c] = 1.0 / n;
+    sq[c] = 0.0;
+  }
+  for (size_t t = 0; t < dim; ++t) {
+    for (size_t c = 0; c < k; ++c) {
+      const double v = rows[c * dim + t] * scale[c];
+      rows[c * dim + t] = v;
+      sq[c] += v * v;
+    }
+  }
+  for (size_t c = 0; c < k; ++c) {
+    if (members[c] != 0) norms[c] = std::sqrt(sq[c]);
+  }
 }
 
 // k-means++ seeding: first centroid uniform, subsequent proportional to
@@ -84,6 +102,23 @@ std::vector<size_t> SeedPlusPlus(const PointSet& points, size_t k, Rng& rng) {
 
 }  // namespace
 
+KMeans::Seeds KMeans::Seed(const PointSet& points, size_t k) const {
+  Seeds seeds;
+  if (k < 2 || k >= points.size()) return seeds;  // ClusterWithK's trivial k
+  const size_t dim = points.dim();
+  Rng rng(options_.seed);
+  const std::vector<size_t> chosen = SeedPlusPlus(points, k, rng);
+  seeds.rows.assign(k * dim, 0.0);
+  seeds.norms.resize(k);
+  for (size_t c = 0; c < k; ++c) {
+    points.AddTo(chosen[c], seeds.rows.data() + c * dim);
+  }
+  // Each seed row is a centroid of one member.
+  NormalizeRows(seeds.rows.data(), k, dim, std::vector<size_t>(k, 1),
+                seeds.norms.data());
+  return seeds;
+}
+
 Clustering KMeans::Cluster(const std::vector<SparseVector>& points) const {
   return Cluster(PointSet(points));
 }
@@ -94,7 +129,7 @@ Clustering KMeans::Cluster(const PointSet& points, double* silhouette) const {
   const size_t n = points.size();
   const size_t k_max = std::min(options_.k == 0 ? size_t{1} : options_.k, n);
   if (!options_.auto_k || n <= 2 || k_max <= 1) {
-    Clustering only = ClusterWithK(points, k_max);
+    Clustering only = ClusterWithK(points, k_max, Seed(points, k_max));
     if (silhouette != nullptr) {
       *silhouette = MeanSilhouettes(points, {&only, 1})[0];
     }
@@ -102,11 +137,15 @@ Clustering KMeans::Cluster(const PointSet& points, double* silhouette) const {
   }
   // Try every k up to the bound and keep the best mean silhouette, all
   // scored by one silhouette pass. k = 1 scores a neutral 0; ties and the
-  // all-neutral case prefer the smaller k.
+  // all-neutral case prefer the smaller k. k-means++ draws its seeds one
+  // at a time from one stream, so the seeds for k are the first k seeds
+  // for the largest k that runs the loop (k = n puts each point alone):
+  // seed once for that k.
+  const Seeds seeds = Seed(points, std::min(k_max, n - 1));
   std::vector<Clustering> candidates;
   candidates.reserve(k_max);
   for (size_t k = 1; k <= k_max; ++k) {
-    candidates.push_back(ClusterWithK(points, k));
+    candidates.push_back(ClusterWithK(points, k, seeds));
   }
   const std::vector<double> scores = MeanSilhouettes(points, candidates);
   size_t best = 0;
@@ -117,7 +156,8 @@ Clustering KMeans::Cluster(const PointSet& points, double* silhouette) const {
   return std::move(candidates[best]);
 }
 
-Clustering KMeans::ClusterWithK(const PointSet& points, size_t k_arg) const {
+Clustering KMeans::ClusterWithK(const PointSet& points, size_t k_arg,
+                                const Seeds& seeds) const {
   Clustering result;
   const size_t n = points.size();
   result.assignment.assign(n, 0);
@@ -135,16 +175,12 @@ Clustering KMeans::ClusterWithK(const PointSet& points, size_t k_arg) const {
   }
 
   // Centroid c is the dense row [c * dim, (c + 1) * dim), with its norm
-  // cached per iteration.
+  // cached per iteration; it starts as seed c.
   const size_t dim = points.dim();
-  Rng rng(options_.seed);
-  std::vector<size_t> seeds = SeedPlusPlus(points, k, rng);
-  std::vector<double> centroids(k * dim, 0.0);
-  std::vector<double> norms(k);
-  for (size_t c = 0; c < k; ++c) {
-    points.AddTo(seeds[c], &centroids[c * dim]);
-    norms[c] = NormalizeDense(&centroids[c * dim], dim);
-  }
+  QEC_CHECK_GE(seeds.norms.size(), k);
+  std::vector<double> centroids(seeds.rows.begin(),
+                                seeds.rows.begin() + k * dim);
+  std::vector<double> norms(seeds.norms.begin(), seeds.norms.begin() + k);
 
   std::vector<int> assignment(n, -1);
   std::vector<double> next(k * dim);
@@ -157,7 +193,7 @@ Clustering KMeans::ClusterWithK(const PointSet& points, size_t k_arg) const {
       int best = 0;
       double best_d = std::numeric_limits<double>::infinity();
       for (size_t c = 0; c < k; ++c) {
-        double d = points.DistanceTo(i, &centroids[c * dim], norms[c]);
+        double d = points.DistanceTo(i, centroids.data() + c * dim, norms[c]);
         if (d < best_d) {
           best_d = d;
           best = static_cast<int>(c);
@@ -175,18 +211,16 @@ Clustering KMeans::ClusterWithK(const PointSet& points, size_t k_arg) const {
     std::fill(counts.begin(), counts.end(), 0);
     for (size_t i = 0; i < n; ++i) {
       size_t c = static_cast<size_t>(assignment[i]);
-      points.AddTo(i, &next[c * dim]);
+      points.AddTo(i, next.data() + c * dim);
       counts[c]++;
     }
     for (size_t c = 0; c < k; ++c) {
-      double* row = &next[c * dim];
+      // Keep an empty centroid and its norm; compacted later.
       if (counts[c] == 0) {
-        // Keep the empty centroid; compacted later.
-        std::copy_n(&centroids[c * dim], dim, row);
-      } else {
-        norms[c] = NormalizeDense(row, dim);
+        std::copy_n(centroids.data() + c * dim, dim, next.data() + c * dim);
       }
     }
+    NormalizeRows(next.data(), k, dim, counts, norms.data());
     centroids.swap(next);
   }
 
@@ -209,29 +243,31 @@ double MeanSilhouette(const std::vector<SparseVector>& points,
   return MeanSilhouettes(PointSet(points), {&clustering, 1})[0];
 }
 
-std::vector<double> MeanSilhouettes(const PointSet& points,
-                                    std::span<const Clustering> clusterings) {
-  const size_t n = points.size();
-  std::vector<double> scores(clusterings.size(), 0.0);
-  // Scored clusterings; the rest (fewer than two clusters) stay 0.
-  std::vector<size_t> scored;
-  // Cluster c of scored clustering s is slot base[s] + c of the flat
-  // per-cluster arrays.
-  std::vector<size_t> base = {0};
-  for (size_t q = 0; q < clusterings.size(); ++q) {
-    QEC_CHECK_EQ(clusterings[q].assignment.size(), n);
-    if (n == 0 || clusterings[q].num_clusters < 2) continue;
-    scored.push_back(q);
-    base.push_back(base.back() + clusterings[q].num_clusters);
-  }
-  if (scored.empty()) return scores;
-  const size_t m = scored.size();
+namespace {
 
-  // slot[j * m + s]: point j's cluster slot in scored clustering s.
+/// Mean silhouettes of `group` (clusterings of two or more clusters each)
+/// from one pass over the point pairs, written to scores[0, group.size()).
+/// Each unordered pair's distance is computed once, when the earlier
+/// point's row is walked, and added to both points' per-cluster sums (row
+/// i of dist_sum, one slot per cluster of every clustering in the group).
+/// Row i so receives j < i from the earlier rows, then j > i from its own,
+/// in ascending j: the order a walk over row i alone would add them in.
+/// Distances are symmetric bit for bit (PointSet::Distance).
+void ScorePass(const PointSet& points,
+               std::span<const Clustering* const> group, double* scores) {
+  const size_t n = points.size();
+  const size_t m = group.size();
+  // Cluster c of clustering s is slot base[s] + c of the flat per-cluster
+  // arrays; slot[j * m + s] is point j's cluster slot in clustering s.
+  std::vector<size_t> base = {0};
+  for (const Clustering* clustering : group) {
+    base.push_back(base.back() + clustering->num_clusters);
+  }
+  const size_t width = base.back();
   std::vector<size_t> slot(n * m);
-  std::vector<size_t> cluster_size(base.back(), 0);
+  std::vector<size_t> cluster_size(width, 0);
   for (size_t s = 0; s < m; ++s) {
-    const Clustering& clustering = clusterings[scored[s]];
+    const Clustering& clustering = *group[s];
     for (size_t j = 0; j < n; ++j) {
       const int a = clustering.assignment[j];
       QEC_CHECK_GE(a, 0);
@@ -241,37 +277,81 @@ std::vector<double> MeanSilhouettes(const PointSet& points,
     }
   }
 
-  QEC_COUNTER_ADD("cluster/silhouette_distances", n * (n - 1));
+  QEC_COUNTER_ADD("cluster/silhouette_distances", n * (n - 1) / 2);
   std::vector<double> totals(m, 0.0);
-  std::vector<double> dist_sum(base.back());
+  std::vector<double> dist_sum(n * width, 0.0);
   std::vector<double> dots(n);
-  // For each point, mean distance to every cluster (own cluster excludes
-  // the point itself), in every scored clustering at once.
+  PointSet::LaterDots later(points);
   for (size_t i = 0; i < n; ++i) {
-    std::fill(dots.begin(), dots.end(), 0.0);
-    points.AddDots(i, dots.data());
-    std::fill(dist_sum.begin(), dist_sum.end(), 0.0);
-    for (size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
+    std::fill(dots.begin() + i + 1, dots.end(), 0.0);
+    later.Add(i, dots.data());
+    double* row_i = &dist_sum[i * width];
+    const size_t* slot_i = &slot[i * m];
+    for (size_t j = i + 1; j < n; ++j) {
       const double d = points.Distance(i, j, dots[j]);
-      for (size_t s = 0; s < m; ++s) dist_sum[slot[j * m + s]] += d;
+      double* row_j = &dist_sum[j * width];
+      const size_t* slot_j = &slot[j * m];
+      for (size_t s = 0; s < m; ++s) {
+        row_i[slot_j[s]] += d;
+        row_j[slot_i[s]] += d;
+      }
     }
+    // Row i is complete: its mean distance to every cluster (own cluster
+    // excludes the point itself), in every clustering at once.
     for (size_t s = 0; s < m; ++s) {
-      const size_t own = slot[i * m + s];
+      const size_t own = slot_i[s];
       if (cluster_size[own] <= 1) continue;  // singleton scores 0
-      const double a =
-          dist_sum[own] / static_cast<double>(cluster_size[own] - 1);
+      const double a = row_i[own] / static_cast<double>(cluster_size[own] - 1);
       double b = std::numeric_limits<double>::infinity();
       for (size_t c = base[s]; c < base[s + 1]; ++c) {
         if (c == own || cluster_size[c] == 0) continue;
-        b = std::min(b, dist_sum[c] / static_cast<double>(cluster_size[c]));
+        b = std::min(b, row_i[c] / static_cast<double>(cluster_size[c]));
       }
       const double denom = std::max(a, b);
       totals[s] += denom > 0.0 ? (b - a) / denom : 0.0;
     }
   }
   for (size_t s = 0; s < m; ++s) {
-    scores[scored[s]] = totals[s] / static_cast<double>(n);
+    scores[s] = totals[s] / static_cast<double>(n);
+  }
+}
+
+}  // namespace
+
+std::vector<double> MeanSilhouettes(const PointSet& points,
+                                    std::span<const Clustering> clusterings) {
+  const size_t n = points.size();
+  std::vector<double> scores(clusterings.size(), 0.0);
+  // Scored clusterings; the rest (fewer than two clusters) stay 0.
+  std::vector<size_t> scored;
+  std::vector<const Clustering*> candidates;
+  for (size_t q = 0; q < clusterings.size(); ++q) {
+    QEC_CHECK_EQ(clusterings[q].assignment.size(), n);
+    if (n == 0 || clusterings[q].num_clusters < 2) continue;
+    scored.push_back(q);
+    candidates.push_back(&clusterings[q]);
+  }
+  if (candidates.empty()) return scores;
+  // Passes take the clusterings in order, as many as fit in
+  // kMaxSilhouetteSums per-cluster sums (at least one), so a request's
+  // bound on k cannot grow the n x clusters array past the larger of that
+  // budget and n x its largest clustering.
+  std::vector<double> candidate_scores(candidates.size());
+  const size_t max_width = kMaxSilhouetteSums / n;
+  for (size_t first = 0; first < candidates.size();) {
+    size_t last = first;
+    size_t width = 0;
+    while (last < candidates.size() &&
+           (last == first ||
+            width + candidates[last]->num_clusters <= max_width)) {
+      width += candidates[last++]->num_clusters;
+    }
+    ScorePass(points, std::span(candidates).subspan(first, last - first),
+              &candidate_scores[first]);
+    first = last;
+  }
+  for (size_t s = 0; s < scored.size(); ++s) {
+    scores[scored[s]] = candidate_scores[s];
   }
   return scores;
 }

@@ -61,7 +61,18 @@ class KMeans {
   const KMeansOptions& options() const { return options_; }
 
  private:
-  Clustering ClusterWithK(const PointSet& points, size_t k) const;
+  /// The first k k-means++ seeds as normalised dense centroid rows: row c
+  /// is [c * dim, (c + 1) * dim) of `rows`, with its norm in norms[c].
+  struct Seeds {
+    std::vector<double> rows;
+    std::vector<double> norms;
+  };
+  /// The seeds for `k`; none for the k ClusterWithK needs none for (k < 2
+  /// or k >= n).
+  Seeds Seed(const PointSet& points, size_t k) const;
+  /// k-means for one k, starting from the first k of `seeds`.
+  Clustering ClusterWithK(const PointSet& points, size_t k,
+                          const Seeds& seeds) const;
 
   KMeansOptions options_;
 };
@@ -73,12 +84,21 @@ class KMeans {
 double MeanSilhouette(const std::vector<SparseVector>& points,
                       const Clustering& clustering);
 
+/// Most per-cluster distance sums (n points x clusters scored together)
+/// one MeanSilhouettes pass keeps: 2^20 doubles, 8 MiB.
+inline constexpr size_t kMaxSilhouetteSums = size_t{1} << 20;
+
 /// MeanSilhouette of every clustering in `clusterings`, from one pass over
-/// the point rows: each row's n-1 distances are computed once and added
-/// into every clustering's per-cluster sums, in the same order as a
-/// separate MeanSilhouette call would add them, so each score is
-/// bit-identical to it. Extra memory is O(n * clusterings), not an n x n
-/// matrix. Counts the distances in `cluster/silhouette_distances`.
+/// the point pairs per group of clusterings: each unordered pair's
+/// distance is computed once per pass and added into both points'
+/// per-cluster sums of every clustering in the group, in the same order as
+/// a separate MeanSilhouette call would add them, so each score is
+/// bit-identical to it. A group is as many clusterings, in order, as keep
+/// n x their clusters within kMaxSilhouetteSums, and at least one; auto-k
+/// at the default bound k = 5 (15 clusters) takes one pass up to n =
+/// 69,905. Extra memory is O(max(kMaxSilhouetteSums, n * largest k)), never
+/// more than an n x n matrix. Counts n(n-1)/2 distances per pass in
+/// `cluster/silhouette_distances`.
 std::vector<double> MeanSilhouettes(const PointSet& points,
                                     std::span<const Clustering> clusterings);
 

@@ -126,4 +126,24 @@ void PointSet::AddDots(size_t i, double* dots) const {
   }
 }
 
+PointSet::LaterDots::LaterDots(const PointSet& points)
+    : points_(&points),
+      cursor_(points.column_offsets_.begin(),
+              points.column_offsets_.end() - 1) {}
+
+void PointSet::LaterDots::Add(size_t i, double* dots) {
+  QEC_CHECK_EQ(i, next_);
+  ++next_;
+  const PointSet& p = *points_;
+  for (uint32_t e = p.row_offsets_[i]; e < p.row_offsets_[i + 1]; ++e) {
+    const double w = p.weights_[e];
+    const uint32_t t = p.ids_[e];
+    // The cursor sits on point i's own entry; the later points follow it.
+    const uint32_t end = p.column_offsets_[t + 1];
+    for (uint32_t c = ++cursor_[t]; c < end; ++c) {
+      dots[p.column_points_[c]] += w * p.column_weights_[c];
+    }
+  }
+}
+
 }  // namespace qec::cluster

@@ -93,10 +93,34 @@ class PointSet {
   void AddDots(size_t i, double* dots) const;
 
   /// Cosine distance between points `i` and `j` given their dot product.
+  /// Symmetric bit for bit: the dot products of (i, j) and (j, i) multiply
+  /// the same weights in the same term order.
   double Distance(size_t i, size_t j, double dot) const {
     if (norms_[i] == 0.0 || norms_[j] == 0.0) return 1.0;
     return 1.0 - dot / (norms_[i] * norms_[j]);
   }
+
+  /// Walks the points in order and gives each its dot products with the
+  /// later points only, so a pass over all points meets every unordered
+  /// pair once. Columns list their points in order, so one cursor per
+  /// column, moved past point i when row i is walked, marks where the
+  /// later points begin; each cursor only moves forward.
+  class LaterDots {
+   public:
+    explicit LaterDots(const PointSet& points);
+
+    /// dots[j] += dot(point i, point j) for every j > i that shares a term
+    /// with point `i`; nothing else in `dots` changes. Each sum is the
+    /// one AddDots leaves. Call for i = 0, 1, 2, ... in order.
+    void Add(size_t i, double* dots);
+
+   private:
+    const PointSet* points_;
+    size_t next_ = 0;
+    /// cursor_[t]: the first entry of column t whose point is not yet
+    /// walked.
+    std::vector<uint32_t> cursor_;
+  };
 
  private:
   std::vector<double> norms_;

@@ -38,12 +38,15 @@ std::vector<TermId> SelectCandidates(const ResultUniverse& universe,
   if (options.max_candidates > 0) keep = std::min(keep, options.max_candidates);
 
   // Terms are distinct, so (score desc, term asc) is a strict total order:
-  // the sorted prefix is the same as a full sort's.
-  std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
-                    [](const Scored& a, const Scored& b) {
-                      if (a.score != b.score) return a.score > b.score;
-                      return a.term < b.term;
-                    });
+  // the first `keep` after a selection are the same set as a full sort's,
+  // and sorting them gives its prefix.
+  auto before = [](const Scored& a, const Scored& b) {
+    if (a.score != b.score) return a.score > b.score;
+    return a.term < b.term;
+  };
+  const auto kept = scored.begin() + keep;
+  std::nth_element(scored.begin(), kept, scored.end(), before);
+  std::sort(scored.begin(), kept, before);
 
   std::vector<TermId> out;
   out.reserve(keep);

@@ -7,11 +7,21 @@
 
 namespace qec::core {
 
+std::vector<const DynamicBitset*> ResolveCandidateDocs(
+    const ResultUniverse& universe, const std::vector<TermId>& candidates) {
+  std::vector<const DynamicBitset*> docs;
+  docs.reserve(candidates.size());
+  for (TermId k : candidates) docs.push_back(&universe.DocsWithTerm(k));
+  return docs;
+}
+
 ExpansionContext MakeContext(const ResultUniverse& universe,
                              std::vector<TermId> user_query,
                              DynamicBitset cluster,
-                             std::vector<TermId> candidates) {
+                             std::vector<TermId> candidates,
+                             std::vector<const DynamicBitset*> candidate_docs) {
   QEC_CHECK_EQ(cluster.size(), universe.size());
+  QEC_CHECK_EQ(candidate_docs.size(), candidates.size());
   ExpansionContext ctx;
   ctx.universe = &universe;
   ctx.user_query = std::move(user_query);
@@ -19,11 +29,18 @@ ExpansionContext MakeContext(const ResultUniverse& universe,
   ctx.others.AndNot(cluster);
   ctx.cluster = std::move(cluster);
   ctx.candidates = std::move(candidates);
-  ctx.candidate_docs.reserve(ctx.candidates.size());
-  for (TermId k : ctx.candidates) {
-    ctx.candidate_docs.push_back(&universe.DocsWithTerm(k));
-  }
+  ctx.candidate_docs = std::move(candidate_docs);
   return ctx;
+}
+
+ExpansionContext MakeContext(const ResultUniverse& universe,
+                             std::vector<TermId> user_query,
+                             DynamicBitset cluster,
+                             std::vector<TermId> candidates) {
+  std::vector<const DynamicBitset*> docs =
+      ResolveCandidateDocs(universe, candidates);
+  return MakeContext(universe, std::move(user_query), std::move(cluster),
+                     std::move(candidates), std::move(docs));
 }
 
 std::vector<TermExplain> ExplainAddedTerms(

@@ -26,13 +26,25 @@ struct ExpansionContext {
   /// SelectCandidates returns them).
   std::vector<TermId> candidates;
   /// D(k) of each candidate (universe->DocsWithTerm), parallel to
-  /// `candidates`: resolved once here, so the per-candidate sweeps index
-  /// an array instead of looking terms up per evaluation.
+  /// `candidates`: resolved once per request, so the per-candidate sweeps
+  /// index an array instead of looking terms up per evaluation.
   std::vector<const DynamicBitset*> candidate_docs;
 };
 
-/// Builds a context where U is the complement of C in the universe, and
-/// resolves every candidate's D(k).
+/// D(k) of each of `candidates` (universe.DocsWithTerm), in order.
+std::vector<const DynamicBitset*> ResolveCandidateDocs(
+    const ResultUniverse& universe, const std::vector<TermId>& candidates);
+
+/// Builds a context where U is the complement of C in the universe, with
+/// `candidate_docs` = ResolveCandidateDocs(universe, candidates): the
+/// clusters of one request resolve their shared candidates once.
+ExpansionContext MakeContext(const ResultUniverse& universe,
+                             std::vector<TermId> user_query,
+                             DynamicBitset cluster,
+                             std::vector<TermId> candidates,
+                             std::vector<const DynamicBitset*> candidate_docs);
+
+/// Same, resolving every candidate's D(k) itself.
 ExpansionContext MakeContext(const ResultUniverse& universe,
                              std::vector<TermId> user_query,
                              DynamicBitset cluster,

@@ -14,21 +14,21 @@ namespace {
 
 /// Expands every cluster of `clustering`, returning the expansions and the
 /// Eq. 1 score.
-std::vector<ExpansionResult> ExpandAll(const ResultUniverse& universe,
-                                       const std::vector<TermId>& user_terms,
-                                       const cluster::Clustering& clustering,
-                                       const std::vector<TermId>& candidates,
-                                       const IskrOptions& iskr_options,
-                                       const SweepOptions& sweep_options,
-                                       double* set_score) {
+std::vector<ExpansionResult> ExpandAll(
+    const ResultUniverse& universe, const std::vector<TermId>& user_terms,
+    const cluster::Clustering& clustering,
+    const std::vector<TermId>& candidates,
+    const std::vector<const DynamicBitset*>& candidate_docs,
+    const IskrOptions& iskr_options, const SweepOptions& sweep_options,
+    double* set_score) {
   std::vector<ExpansionResult> expansions;
   std::vector<QueryQuality> qualities;
   const auto members = clustering.Members();
   for (const auto& cluster_members : members) {
     DynamicBitset bits = universe.EmptySet();
     for (size_t i : cluster_members) bits.Set(i);
-    ExpansionContext ctx =
-        MakeContext(universe, user_terms, std::move(bits), candidates);
+    ExpansionContext ctx = MakeContext(universe, user_terms, std::move(bits),
+                                       candidates, candidate_docs);
     ExpansionResult r = IskrExpander(iskr_options, sweep_options).Expand(ctx);
     qualities.push_back(r.quality);
     expansions.push_back(std::move(r));
@@ -86,17 +86,20 @@ InterleavedOutcome InterleavedExpander::Run(
   QEC_CHECK_EQ(initial.assignment.size(), universe.size());
   InterleavedOutcome outcome;
   outcome.clustering = initial;
+  const std::vector<const DynamicBitset*> candidate_docs =
+      ResolveCandidateDocs(universe, candidates);
   outcome.expansions =
       ExpandAll(universe, user_terms, outcome.clustering, candidates,
-                options_.iskr, options_.sweep, &outcome.set_score);
+                candidate_docs, options_.iskr, options_.sweep,
+                &outcome.set_score);
 
   for (size_t round = 0; round < options_.max_rounds; ++round) {
     cluster::Clustering refined = outcome.clustering;
     if (!Reassign(universe, outcome.expansions, refined)) break;
     double refined_score = 0.0;
     std::vector<ExpansionResult> refined_expansions =
-        ExpandAll(universe, user_terms, refined, candidates, options_.iskr,
-                  options_.sweep, &refined_score);
+        ExpandAll(universe, user_terms, refined, candidates, candidate_docs,
+                  options_.iskr, options_.sweep, &refined_score);
     if (refined_score <= outcome.set_score + 1e-12) break;
     outcome.clustering = std::move(refined);
     outcome.expansions = std::move(refined_expansions);

@@ -117,6 +117,9 @@ ExpansionOutcome QueryExpander::ExpandClustered(
 
   std::vector<TermId> candidates = SelectCandidates(
       universe, *index_, user_terms, options_.candidates);
+  // Every cluster's context shares the candidates' D(k), resolved once.
+  const std::vector<const DynamicBitset*> candidate_docs =
+      ResolveCandidateDocs(universe, candidates);
   const auto& vocab = index_->corpus().analyzer().vocabulary();
 
   Stopwatch watch;
@@ -181,7 +184,8 @@ ExpansionOutcome QueryExpander::ExpandClustered(
     DynamicBitset cluster_bits = universe.EmptySet();
     for (size_t i : members[c]) cluster_bits.Set(i);
     ExpansionContext context =
-        MakeContext(universe, user_terms, std::move(cluster_bits), candidates);
+        MakeContext(universe, user_terms, std::move(cluster_bits), candidates,
+                    candidate_docs);
     results[c] = RunAlgorithm(context);
   };
 

@@ -256,13 +256,6 @@ const DynamicBitset& ResultUniverse::DocsWithTerm(TermId term) const {
   return FindDocs(term);
 }
 
-DynamicBitset ResultUniverse::DocsWithoutTerm(TermId term) const {
-  QEC_COUNTER_INC("universe/term_lookups");
-  DynamicBitset out = FullSet();
-  out.AndNot(FindDocs(term));
-  return out;
-}
-
 void ResultUniverse::RetrieveInto(std::span<const TermId> query,
                                   DynamicBitset* out) const {
   QEC_COUNTER_ADD("universe/term_intersections", query.size());

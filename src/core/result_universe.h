@@ -115,12 +115,10 @@ class ResultUniverse {
 
   /// Bitset of results containing `term` (all-zero for unknown terms).
   /// Counts one universe/term_lookups; hot loops resolve their terms once
-  /// (MakeContext does for the candidates) and index the result.
+  /// (ResolveCandidateDocs does for a request's candidates) and index the
+  /// result. E(k), the results a query containing `term` can never
+  /// retrieve (Sec. 3), is its complement.
   const DynamicBitset& DocsWithTerm(TermId term) const;
-
-  /// E(k): results NOT containing `term` — the results any query containing
-  /// `term` can never retrieve (Sec. 3).
-  DynamicBitset DocsWithoutTerm(TermId term) const;
 
   /// R(q) within the universe under AND semantics: results containing every
   /// term of `query`. The empty query retrieves the whole universe. Takes

@@ -85,9 +85,10 @@ void InvertedIndex::RebuildParallel(size_t num_threads) {
 
 void InvertedIndex::ComputeDocNorms() {
   // TF-IDF document norms for VSM scoring (needs df, so a second pass).
-  // Each term's idf is computed once, not once per occurrence.
-  std::vector<double> idf(corpus_->analyzer().vocabulary().size());
-  for (TermId t = 0; t < idf.size(); ++t) idf[t] = Idf(t);
+  // Each term's idf is computed once, not once per occurrence, and kept
+  // for Idf().
+  idf_.resize(corpus_->analyzer().vocabulary().size());
+  for (TermId t = 0; t < idf_.size(); ++t) idf_[t] = IdfOf(t);
   doc_norms_.assign(corpus_->NumDocs(), 0.0);
   for (DocId d = 0; d < corpus_->NumDocs(); ++d) {
     const doc::Document& doc = corpus_->Get(d);
@@ -95,7 +96,7 @@ void InvertedIndex::ComputeDocNorms() {
     const std::vector<int>& counts = doc.term_counts();
     double sq = 0.0;
     for (size_t i = 0; i < terms.size(); ++i) {
-      double w = static_cast<double>(counts[i]) * idf[terms[i]];
+      double w = static_cast<double>(counts[i]) * idf_[terms[i]];
       sq += w * w;
     }
     doc_norms_[d] = std::sqrt(sq);
@@ -117,6 +118,10 @@ const std::vector<Posting>& InvertedIndex::Postings(TermId term) const {
 }
 
 double InvertedIndex::Idf(TermId term) const {
+  return term < idf_.size() ? idf_[term] : IdfOf(term);
+}
+
+double InvertedIndex::IdfOf(TermId term) const {
   const double n = static_cast<double>(corpus_->NumDocs());
   const size_t df = DocumentFrequency(term);
   if (df == 0) return std::log(1.0 + n);

@@ -77,7 +77,9 @@ class InvertedIndex {
   const std::vector<Posting>& Postings(TermId term) const;
 
   /// Smoothed inverse document frequency: log(1 + N / df). Terms absent
-  /// from the corpus get idf of log(1 + N).
+  /// from the corpus get idf of log(1 + N). Read from a table built with
+  /// the index; ids past the vocabulary it was built over take the
+  /// formula.
   double Idf(TermId term) const;
 
   /// Documents containing ALL of `terms` (AND semantics, the paper's result
@@ -135,10 +137,14 @@ class InvertedIndex {
   InvertedIndex(const doc::Corpus& corpus,
                 std::vector<std::vector<Posting>> postings, AdoptPostingsTag);
 
+  /// Builds idf_ and doc_norms_.
   void ComputeDocNorms();
+  /// Idf's formula, evaluated.
+  double IdfOf(TermId term) const;
 
   const doc::Corpus* corpus_;
   std::vector<std::vector<Posting>> postings_;  // indexed by TermId
+  std::vector<double> idf_;  // Idf per TermId of the vocabulary
   std::vector<double> doc_norms_;  // ||tf-idf vector|| per document
   std::vector<DocId> external_ids_;  // empty = identity
   std::vector<Posting> empty_;

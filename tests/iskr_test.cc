@@ -91,7 +91,8 @@ class PaperExampleFixture : public ::testing::Test {
 TEST_F(PaperExampleFixture, EliminationSetsMatchExampleTable) {
   // Sanity-check the fixture against the Example 3.1 table.
   auto elim_in = [&](const std::string& kw, size_t begin, size_t end) {
-    DynamicBitset e = universe_->DocsWithoutTerm(T(kw));
+    DynamicBitset e = universe_->FullSet();
+    e.AndNot(universe_->DocsWithTerm(T(kw)));
     size_t count = 0;
     for (size_t i = begin; i < end; ++i) {
       if (e.Test(i)) ++count;

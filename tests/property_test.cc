@@ -1381,5 +1381,302 @@ TEST_P(ClusteringExactnessProperty, UniverseTableMatchesVectors) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ClusteringExactnessProperty,
                          ::testing::Range<uint64_t>(1, 26));
 
+// ------------------------------------------------- once-per-request work
+
+/// The silhouette pass computes each unordered pair once and adds it to
+/// both rows, k-means auto-k seeds once for the largest k, and the update
+/// step normalises every centroid in one pass. Each must leave exactly the
+/// bits of the per-row, per-k, per-centroid code it replaced.
+class OncePerRequestProperty : public ::testing::TestWithParam<uint64_t> {};
+
+/// RandomPointSet, and now and then a tiny set (n = 0..3) that mixes
+/// zero-norm and duplicate points.
+std::vector<cluster::SparseVector> RandomOrTinyPointSet(Rng& rng) {
+  if (!rng.Bernoulli(0.25)) return RandomPointSet(rng);
+  const cluster::SparseVector x({{1, 2.0}, {4, 0.5}});
+  const cluster::SparseVector y({{2, 1.5}, {4, 3.0}});
+  const cluster::SparseVector pool[] = {x, y, cluster::SparseVector(), x};
+  std::vector<cluster::SparseVector> points;
+  const size_t n = rng.UniformInt(4);
+  for (size_t i = 0; i < n; ++i) points.push_back(pool[rng.UniformInt(4)]);
+  return points;
+}
+
+/// Labelings of n points, some with singletons, unused labels or a single
+/// cluster.
+std::vector<cluster::Clustering> RandomLabelings(Rng& rng, size_t n) {
+  std::vector<cluster::Clustering> labelings(1 + rng.UniformInt(8));
+  for (cluster::Clustering& c : labelings) {
+    c.num_clusters = 1 + rng.UniformInt(n + 2);
+    const size_t used = 1 + rng.UniformInt(c.num_clusters);
+    for (size_t i = 0; i < n; ++i) {
+      c.assignment.push_back(static_cast<int>(rng.UniformInt(used)));
+    }
+  }
+  return labelings;
+}
+
+TEST_P(OncePerRequestProperty, LaterDotsAreTheUpperRowsOfAddDots) {
+  Rng rng(GetParam() + 2000);
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::vector<cluster::SparseVector> points = RandomOrTinyPointSet(rng);
+    const cluster::PointSet set(points);
+    const size_t n = set.size();
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n));
+    cluster::PointSet::LaterDots later(set);
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> all(n, 0.0), upper(n, 0.0);
+      set.AddDots(i, all.data());
+      later.Add(i, upper.data());
+      for (size_t j = 0; j < n; ++j) {
+        // Points up to i are left untouched: exactly +0.0.
+        ASSERT_TRUE(SameBits(upper[j], j > i ? all[j] : 0.0)) << i << "," << j;
+        if (j > i) {
+          ASSERT_TRUE(SameBits(set.Distance(i, j, upper[j]),
+                               set.Distance(j, i, upper[j])));
+        }
+      }
+    }
+  }
+}
+
+TEST_P(OncePerRequestProperty, SilhouettesMatchSeparateCallsAndReference) {
+  Rng rng(GetParam() + 3000);
+  size_t scored = 0;
+  for (int iter = 0; iter < 30; ++iter) {
+    const std::vector<cluster::SparseVector> points = RandomOrTinyPointSet(rng);
+    std::vector<ref::Entries> ref_points;
+    for (const auto& p : points) ref_points.push_back(ref::Of(p));
+    const cluster::PointSet set(points);
+    const size_t n = set.size();
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n));
+    const std::vector<cluster::Clustering> labelings = RandomLabelings(rng, n);
+    const std::vector<double> together =
+        cluster::MeanSilhouettes(set, labelings);
+    ASSERT_EQ(together.size(), labelings.size());
+    for (size_t q = 0; q < labelings.size(); ++q) {
+      const double want = ref::MeanSilhouette(ref_points, labelings[q]);
+      const double alone = cluster::MeanSilhouettes(set, {&labelings[q], 1})[0];
+      EXPECT_TRUE(SameBits(together[q], want)) << q;
+      EXPECT_TRUE(SameBits(alone, want)) << q;
+      if (want != 0.0) ++scored;
+    }
+  }
+  EXPECT_GT(scored, 0u);  // not every score is the neutral 0
+}
+
+TEST_P(OncePerRequestProperty, AutoKMatchesPerKRunsScoredTogether) {
+  Rng rng(GetParam() + 4000);
+#ifndef QEC_DISABLE_TRACING
+  obs::Counter* iterations = obs::MetricsRegistry::Global().GetCounter(
+      "cluster/kmeans_iterations");
+#endif
+  for (int iter = 0; iter < 20; ++iter) {
+    const std::vector<cluster::SparseVector> points = RandomOrTinyPointSet(rng);
+    const cluster::PointSet set(points);
+    const size_t n = set.size();
+    cluster::KMeansOptions options;
+    options.k = 1 + rng.UniformInt(8);
+    options.seed = rng.Next();
+    options.auto_k = true;
+    const size_t k_max = std::min(options.k, n);
+    SCOPED_TRACE("iter " + std::to_string(iter) + " n " + std::to_string(n) +
+                 " k " + std::to_string(options.k));
+
+#ifndef QEC_DISABLE_TRACING
+    const uint64_t before = iterations->value();
+#endif
+    double got_score = -2.0;
+    const cluster::Clustering got =
+        cluster::KMeans(options).Cluster(set, &got_score);
+#ifndef QEC_DISABLE_TRACING
+    const uint64_t got_iterations = iterations->value() - before;
+#endif
+
+    // One auto_k = false run per k, then one silhouette pass over them.
+    cluster::KMeansOptions fixed = options;
+    fixed.auto_k = false;
+    std::vector<cluster::Clustering> per_k;
+#ifndef QEC_DISABLE_TRACING
+    const uint64_t before_per_k = iterations->value();
+#endif
+    if (n <= 2 || k_max <= 1) {
+      fixed.k = options.k;
+      per_k.push_back(cluster::KMeans(fixed).Cluster(set));
+    } else {
+      for (size_t k = 1; k <= k_max; ++k) {
+        fixed.k = k;
+        per_k.push_back(cluster::KMeans(fixed).Cluster(set));
+      }
+    }
+#ifndef QEC_DISABLE_TRACING
+    EXPECT_EQ(got_iterations, iterations->value() - before_per_k);
+#endif
+    const std::vector<double> scores = cluster::MeanSilhouettes(set, per_k);
+    size_t best = 0;
+    for (size_t c = 1; c < per_k.size(); ++c) {
+      if (scores[c] > scores[best] + 1e-12) best = c;
+    }
+    ASSERT_EQ(got.assignment, per_k[best].assignment);
+    ASSERT_EQ(got.num_clusters, per_k[best].num_clusters);
+    EXPECT_TRUE(SameBits(got_score, scores[best]));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OncePerRequestProperty,
+                         ::testing::Range<uint64_t>(1, 13));
+
+/// Duplicate or zero-norm seeds leave a centroid that wins no point: the
+/// update step keeps it, and its norm, while the live centroids are
+/// normalised around it.
+TEST(OncePerRequestTest, EmptyCentroidIsKeptAsTheReferenceKeepsIt) {
+  Rng rng(77);
+  size_t emptied = 0;
+  for (int iter = 0; iter < 40; ++iter) {
+    std::vector<cluster::SparseVector> points;
+    auto random_vector = [&rng] {
+      std::vector<std::pair<TermId, double>> entries;
+      const size_t len = 1 + rng.UniformInt(6);
+      for (size_t e = 0; e < len; ++e) {
+        entries.emplace_back(static_cast<TermId>(rng.UniformInt(20)),
+                             0.01 + rng.UniformDouble() * 3.0);
+      }
+      return cluster::SparseVector(std::move(entries));
+    };
+    // Copies of x, one y, sometimes an all-zero point, sometimes only
+    // zero points: fewer distinct points than k, so k-means++ runs out of
+    // new ones and falls back to seeding a point by index, a duplicate of
+    // an earlier seed, whose centroid then wins no point.
+    const cluster::SparseVector x = random_vector();
+    const size_t copies = 3 + rng.UniformInt(3);
+    for (size_t i = 0; i < copies; ++i) points.push_back(x);
+    points.push_back(random_vector());
+    if (rng.Bernoulli(0.5)) points.emplace_back();
+    if (rng.Bernoulli(0.25)) {
+      for (auto& p : points) p = cluster::SparseVector();  // all zero-norm
+    }
+    std::vector<ref::Entries> ref_points;
+    for (const auto& p : points) ref_points.push_back(ref::Of(p));
+
+    cluster::KMeansOptions options;
+    options.k = 3 + rng.UniformInt(points.size() - 3);  // 3 <= k < n
+    options.seed = rng.Next();
+    options.auto_k = rng.Bernoulli(0.5);
+    SCOPED_TRACE("iter " + std::to_string(iter));
+    size_t ref_iterations = 0;
+    const cluster::Clustering want =
+        ref::KMeansCluster(ref_points, options, &ref_iterations);
+    double got_score = -2.0;
+    const cluster::Clustering got =
+        cluster::KMeans(options).Cluster(cluster::PointSet(points), &got_score);
+    ASSERT_EQ(got.assignment, want.assignment);
+    ASSERT_EQ(got.num_clusters, want.num_clusters);
+    EXPECT_TRUE(SameBits(got_score, ref::MeanSilhouette(ref_points, want)));
+    if (!options.auto_k && got.num_clusters < options.k) ++emptied;
+  }
+  EXPECT_GT(emptied, 0u);
+}
+
+/// A request's bound on k must not grow the silhouette pass's n x clusters
+/// array: clusterings that together exceed kMaxSilhouetteSums are scored in
+/// several passes, one that alone exceeds it in a pass of its own, and
+/// every score keeps the bits of a separate call.
+TEST(OncePerRequestTest, ManyClustersSplitIntoBoundedPasses) {
+  Rng rng(91);
+  std::vector<cluster::SparseVector> points;
+  for (size_t i = 0; i < 300; ++i) {
+    std::vector<std::pair<TermId, double>> entries;
+    const size_t len = 1 + rng.UniformInt(8);
+    for (size_t e = 0; e < len; ++e) {
+      entries.emplace_back(static_cast<TermId>(rng.UniformInt(60)),
+                           0.01 + rng.UniformDouble() * 3.0);
+    }
+    points.emplace_back(std::move(entries));
+  }
+  const cluster::PointSet set(points);
+  const size_t n = set.size();
+  const size_t max_width = cluster::kMaxSilhouetteSums / n;
+  // k = 2..90 (4,094 clusters in all), one wider than a pass alone (its
+  // labels mostly unused), then k = 2..30 again.
+  std::vector<size_t> ks;
+  for (size_t k = 2; k <= 90; ++k) ks.push_back(k);
+  ks.push_back(max_width + 7);
+  for (size_t k = 2; k <= 30; ++k) ks.push_back(k);
+  std::vector<cluster::Clustering> labelings;
+  for (size_t k : ks) {
+    cluster::Clustering c;
+    c.num_clusters = k;
+    const size_t used = std::min(k, n / 2);
+    for (size_t i = 0; i < n; ++i) {
+      c.assignment.push_back(static_cast<int>(rng.UniformInt(used)));
+    }
+    labelings.push_back(std::move(c));
+  }
+  // Greedy passes: clusterings in order while their clusters fit.
+  size_t passes = 0;
+  for (size_t q = 0, width = 0; q < ks.size(); ++q) {
+    if (q == 0 || width + ks[q] > max_width) {
+      ++passes;
+      width = 0;
+    }
+    width += ks[q];
+  }
+  ASSERT_GE(passes, 4u);
+
+#ifndef QEC_DISABLE_TRACING
+  obs::Counter* distances = obs::MetricsRegistry::Global().GetCounter(
+      "cluster/silhouette_distances");
+  const uint64_t before = distances->value();
+#endif
+  const std::vector<double> together = cluster::MeanSilhouettes(set, labelings);
+#ifndef QEC_DISABLE_TRACING
+  EXPECT_EQ(distances->value() - before, passes * (n * (n - 1) / 2));
+#endif
+  ASSERT_EQ(together.size(), labelings.size());
+  size_t scored = 0;
+  for (size_t q = 0; q < labelings.size(); ++q) {
+    const double alone = cluster::MeanSilhouettes(set, {&labelings[q], 1})[0];
+    EXPECT_TRUE(SameBits(together[q], alone)) << "k " << ks[q];
+    if (alone != 0.0) ++scored;
+  }
+  EXPECT_EQ(scored, labelings.size());
+}
+
+// -------------------------------------------------------------------- idf
+
+/// Idf() reads a table built with the index; it must hold the formula's
+/// bits for every term, and ids past the table take the formula.
+TEST(IdfTableTest, MatchesFormulaForEveryTermAndOutOfVocabularyIds) {
+  Rng rng(5);
+  doc::Corpus corpus;
+  const size_t vocab = 40;
+  for (size_t t = 0; t < vocab; ++t) {
+    corpus.analyzer().InternVerbatim("t" + std::to_string(t));
+  }
+  for (size_t d = 0; d < 60; ++d) {
+    std::vector<TermId> terms;
+    const size_t length = 1 + rng.UniformInt(8);
+    // Terms 30.. stay in the vocabulary but in no document: df = 0.
+    for (size_t i = 0; i < length; ++i) {
+      terms.push_back(static_cast<TermId>(rng.UniformInt(30)));
+    }
+    corpus.RestoreDocument(doc::DocumentKind::kText, "d", std::move(terms), {});
+  }
+  const index::InvertedIndex index(corpus);
+  const double n = static_cast<double>(corpus.NumDocs());
+  auto formula = [&](TermId t) {
+    const size_t df = index.DocumentFrequency(t);
+    return df == 0 ? std::log(1.0 + n)
+                   : std::log(1.0 + n / static_cast<double>(df));
+  };
+  for (TermId t = 0; t < vocab; ++t) {
+    EXPECT_TRUE(SameBits(index.Idf(t), formula(t))) << t;
+  }
+  EXPECT_EQ(index.DocumentFrequency(35), 0u);
+  for (TermId oov : {static_cast<TermId>(vocab), TermId{99999}}) {
+    EXPECT_TRUE(SameBits(index.Idf(oov), std::log(1.0 + n))) << oov;
+  }
+}
+
 }  // namespace
 }  // namespace qec

@@ -260,6 +260,22 @@ TEST_P(CandidateSelectionProperty, MatchesFullSortReference) {
         reference, ids.size(), index, user_query, options, &ties);
     ASSERT_EQ(got, want);
 
+    // The selection's edges: keep nothing, and keep every scored term.
+    for (const double fraction : {0.0, 1.0}) {
+      core::CandidateOptions edge = options;
+      edge.fraction = fraction;
+      edge.max_candidates = 0;
+      size_t edge_ties = 0;
+      const std::vector<TermId> edge_got =
+          core::SelectCandidates(universe, index, user_query, edge);
+      ASSERT_EQ(edge_got, ReferenceCandidates(reference, ids.size(), index,
+                                              user_query, edge, &edge_ties))
+          << fraction;
+      if (fraction == 0.0) {
+        ASSERT_TRUE(edge_got.empty());
+      }
+    }
+
     core::CandidateOptions all = options;
     all.fraction = 1.0;
     all.max_candidates = 0;
